@@ -49,9 +49,10 @@ type SolverOptions struct {
 	GammaStallWindow int  `json:"gamma_stall_window,omitempty"`
 	MaxIterations    int  `json:"max_iterations,omitempty"`
 	Polish           bool `json:"polish,omitempty"`
-	// UnprunedScoring disables gamma-pruned scoring and evaluates every
-	// draw exactly; the mapping is identical either way (an escape hatch
-	// and benchmarking knob, not a quality setting).
+	// Deprecated: UnprunedScoring is accepted for wire compatibility and
+	// ignored. Gamma pruning never changes a result, so the solver always
+	// prunes, and the content address treats submissions that differ only
+	// in this field as the same job.
 	UnprunedScoring bool `json:"unpruned_scoring,omitempty"`
 	NumAgents       int  `json:"num_agents,omitempty"` // distributed only
 

@@ -186,13 +186,12 @@ func BenchmarkFig9_TurnaroundSweep(b *testing.B) {
 	b.ReportMetric(gaATN/mATN, "ATN-ratio-largest-n")
 }
 
-// --- Kernel micro-benchmarks (the fused sample-and-score hot path) --------
+// --- Kernel micro-benchmarks (the sample-and-score hot path) -------------
 
-// BenchmarkGenPerm isolates one GenPerm permutation draw per sampler
-// variant: the linear reference walk, the stream-identical Fenwick
-// descent, and the production rejection sampler over the shared row CDF.
-// Two matrix regimes bracket a CE run: uniform (iteration 0, worst case
-// for rejection late in a draw) and near-degenerate (the pre-stop regime
+// BenchmarkGenPerm isolates one GenPerm permutation draw per sampler: the
+// linear reference walk and the production alias rejection sampler. Two
+// matrix regimes bracket a CE run: uniform (iteration 0, worst case for
+// rejection late in a draw) and near-degenerate (the pre-stop regime
 // where almost every first try hits).
 func BenchmarkGenPerm(b *testing.B) {
 	const n = 64
@@ -201,7 +200,6 @@ func BenchmarkGenPerm(b *testing.B) {
 		"peaked":  benchPeakedMatrix(b, n),
 	}
 	for name, m := range matrices {
-		cdf := stochmat.NewRowCDF(m)
 		at := stochmat.NewAliasTable(m)
 		s := stochmat.NewSampler(n)
 		dst := make([]int, n)
@@ -213,26 +211,10 @@ func BenchmarkGenPerm(b *testing.B) {
 				}
 			}
 		})
-		b.Run("fenwick/"+name, func(b *testing.B) {
-			rng := xrand.New(1)
-			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutationFenwick(m, rng, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("fast-cdf/"+name, func(b *testing.B) {
-			rng := xrand.New(1)
-			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutationFast(m, cdf, nil, rng, dst, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run("fast-alias/"+name, func(b *testing.B) {
 			rng := xrand.New(1)
 			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutationFast(m, nil, at, rng, dst, nil); err != nil {
+				if err := s.SamplePermutationFast(m, at, rng, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,9 +238,9 @@ func benchPeakedMatrix(b *testing.B, n int) *stochmat.Matrix {
 	return m
 }
 
-// BenchmarkFusedScore compares one sample+score unit of work: the fused
-// draw (makespan accumulated during GenPerm) against drawing and then
-// re-walking the mapping with ExecInto.
+// BenchmarkFusedScore compares one sample+score unit of work: the
+// production draw scored by one edge-list sweep (StreamScorer.ScoreMapping)
+// against drawing and then evaluating the mapping with ExecInto.
 func BenchmarkFusedScore(b *testing.B) {
 	const n = 64
 	eval := benchEval(b, 2005, n)
@@ -266,17 +248,15 @@ func BenchmarkFusedScore(b *testing.B) {
 	at := stochmat.NewAliasTable(m)
 	s := stochmat.NewSampler(n)
 	dst := make([]int, n)
-	b.Run("fused", func(b *testing.B) {
+	b.Run("score-mapping", func(b *testing.B) {
 		rng := xrand.New(1)
 		ss := cost.NewStreamScorer(eval)
-		place := ss.Place
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			ss.Reset()
-			if err := s.SamplePermutationFast(m, nil, at, rng, dst, place); err != nil {
+			if err := s.SamplePermutationFast(m, at, rng, dst); err != nil {
 				b.Fatal(err)
 			}
-			sink = ss.Makespan()
+			sink = ss.ScoreMapping(dst)
 		}
 		_ = sink
 	})
@@ -285,7 +265,7 @@ func BenchmarkFusedScore(b *testing.B) {
 		scratch := make([]float64, n)
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			if err := s.SamplePermutationFast(m, nil, at, rng, dst, nil); err != nil {
+			if err := s.SamplePermutationFast(m, at, rng, dst); err != nil {
 				b.Fatal(err)
 			}
 			sink = eval.ExecInto(cost.Mapping(dst), scratch)
@@ -294,25 +274,14 @@ func BenchmarkFusedScore(b *testing.B) {
 	})
 }
 
-// BenchmarkSolveFusedVsUnfused measures the end-to-end effect of the
-// fused path on a full MaTCH run (both arms share the fast sampler; the
-// difference is the second scoring pass).
-func BenchmarkSolveFusedVsUnfused(b *testing.B) {
+// BenchmarkSolve measures a full MaTCH run at n = 64 (120 iterations) —
+// the end-to-end cost of the CE hot path.
+func BenchmarkSolve(b *testing.B) {
 	eval := benchEval(b, 2005, 64)
-	for _, unfused := range []bool{false, true} {
-		name := "fused"
-		if unfused {
-			name = "unfused"
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Solve(eval, core.Options{Seed: uint64(i), MaxIterations: 120}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(eval, core.Options{
-					Seed: uint64(i), MaxIterations: 120, UnfusedScoring: unfused,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -44,18 +44,19 @@ import "matchsim/internal/xrand"
 
 // Problem is one combinatorial optimisation problem expressed in CE form.
 // The type parameter S is the solution representation (e.g. []int for
-// mappings, []bool for cuts). Sample and Score are called concurrently
-// from multiple workers and must not mutate shared problem state; Update
-// is called from a single goroutine between iterations.
+// mappings, []bool for cuts). SampleScore is called concurrently from
+// multiple workers and must not mutate shared problem state; Update is
+// called from a single goroutine between iterations.
 type Problem[S any] interface {
 	// NewSolution allocates one blank solution buffer. The framework
 	// allocates N of them once and reuses them every iteration.
 	NewSolution() S
-	// Sample overwrites dst with one draw from the current distribution,
-	// using the provided per-worker RNG.
-	Sample(rng *xrand.RNG, dst S) error
-	// Score returns the performance S(x) of a solution.
-	Score(s S) float64
+	// SampleScore overwrites dst with one draw from the current
+	// distribution, using the provided per-worker RNG, and returns its
+	// performance S(x). Implementations may fuse the two steps (e.g.
+	// score the draw while it is still hot in cache); concurrent calls
+	// with distinct (rng, dst) pairs must be safe.
+	SampleScore(rng *xrand.RNG, dst S) (float64, error)
 	// Update re-estimates the sampling distribution from the elite
 	// solutions, applying smoothing factor zeta per eq. (13).
 	Update(elite []S, zeta float64) error
@@ -65,20 +66,6 @@ type Problem[S any] interface {
 	// Copy copies src into dst (both allocated by NewSolution); the
 	// framework uses it to keep the best-so-far solution.
 	Copy(dst, src S)
-}
-
-// SampleScorer is the optional fused sample-and-score fast path. A
-// Problem that also implements it can draw a solution and compute its
-// score in one pass — e.g. by accumulating the cost model while the
-// sampler assigns tasks — instead of materialising the solution and then
-// re-walking it in Score. Run detects the interface at start-up and, when
-// present (and not disabled via Config.UnfusedScoring), calls SampleScore
-// in place of the Sample+Score pair. The contract matches Sample's:
-// concurrent calls with distinct (rng, dst) pairs must be safe, dst is
-// overwritten with the draw, and the returned score must equal what
-// Score(dst) would report for the same solution.
-type SampleScorer[S any] interface {
-	SampleScore(rng *xrand.RNG, dst S) (float64, error)
 }
 
 // SampleStats aggregates per-iteration sampling telemetry a Problem may
@@ -107,7 +94,7 @@ type SampleStats struct {
 // Run calls TakeSampleStats once per iteration — after the sampling
 // barrier, from the coordinator goroutine — and folds the returned
 // counters into that iteration's IterStats. Implementations accumulate
-// across concurrent Sample/SampleScore calls (atomics are the usual
+// across concurrent SampleScore calls (atomics are the usual
 // choice) and reset on Take.
 type SampleStatsProvider interface {
 	TakeSampleStats() SampleStats
@@ -121,10 +108,10 @@ type BuildStatsProvider interface {
 	TakeBuildStats() (rebuilt, skipped uint64)
 }
 
-// GammaPruner is the optional score-pruning extension of the fused path.
-// A Problem that also implements it (alongside SampleScorer) accepts the
-// previous iteration's elite threshold and may cut a draw's scoring short
-// once the score provably cannot reach the threshold. Contract:
+// GammaPruner is the optional score-pruning extension of a Problem. A
+// Problem that implements it accepts the previous iteration's elite
+// threshold and may cut a draw's scoring short once the score provably
+// cannot reach the threshold. Contract:
 //
 //   - dst must still receive a complete draw consuming exactly the RNG
 //     stream an unpruned call would (sampling is never cut short, only
@@ -133,14 +120,17 @@ type BuildStatsProvider interface {
 //     infinity (+Inf when minimising), and its true score must provably
 //     be strictly worse than the installed gamma.
 //   - Unpruned draws score exactly as without pruning.
+//   - Score returns the exact score of a materialised solution; it is
+//     called from the coordinator goroutine only.
 //
 // Run installs gamma_k after each Update and, when an iteration's elite
 // boundary could reach into pruned draws (gamma_{k+1} may exceed
 // gamma_k), re-scores the pinned draws exactly via Score — so the elite
-// sets, telemetry gamma/best, and final mapping are identical to an
-// unpruned run. Config.UnprunedScoring disables the whole mechanism.
-type GammaPruner interface {
+// sets, telemetry gamma/best, and final mapping are identical to a run of
+// the same problem without the extension.
+type GammaPruner[S any] interface {
 	SetPruneGamma(gamma float64)
+	Score(s S) float64
 }
 
 // Config tunes one CE run. Zero-valued fields take the documented
@@ -176,16 +166,6 @@ type Config struct {
 	Seed uint64
 	// Minimize selects the optimisation direction; MaTCH minimises.
 	Minimize bool
-	// UnfusedScoring forces the separate Sample-then-Score path even when
-	// the problem implements SampleScorer. It exists as an escape hatch
-	// and for A/B-testing the fused path; both paths consume identical
-	// RNG streams and must produce identical results.
-	UnfusedScoring bool
-	// UnprunedScoring disables gamma-pruned scoring even when the problem
-	// implements GammaPruner. Pruning never changes results (see
-	// GammaPruner), so this exists as an escape hatch and for
-	// A/B-benchmarking the pruned path.
-	UnprunedScoring bool
 	// Context, when non-nil, cancels the run: workers poll it while
 	// sampling and the loop checks it at iteration boundaries, so a
 	// cancelled run stops within (at most) one iteration. If at least one
@@ -440,16 +420,9 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		return a > b
 	}
 
-	// Fused fast path: if the problem can sample and score in one pass,
-	// use it unless explicitly disabled. Gamma pruning rides on the fused
-	// path only — the unfused path scores materialised solutions exactly.
-	sampleScorer, _ := any(p).(SampleScorer[S])
-	fused := sampleScorer != nil && !cfg.UnfusedScoring
-	if !fused {
-		sampleScorer = nil
-	}
-	pruner, _ := any(p).(GammaPruner)
-	usePrune := fused && pruner != nil && !cfg.UnprunedScoring
+	// Gamma pruning is on whenever the problem supports it; rescued draws
+	// are re-scored exactly through the pruner.
+	pruner, usePrune := any(p).(GammaPruner[S])
 	statsProvider, _ := any(p).(SampleStatsProvider)
 	buildProvider, _ := any(p).(BuildStatsProvider)
 	// The sentinel score a pruned draw reports: the direction's worst value.
@@ -473,7 +446,7 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		return res, nil
 	}
 
-	pool := newSamplePool(p, sampleScorer, cfg.Workers, cfg.Seed, solutions, scores, done)
+	pool := newSamplePool(p, cfg.Workers, cfg.Seed, solutions, scores, done)
 	defer pool.close()
 
 	var (
@@ -523,7 +496,7 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 				if within < eliteCount {
 					for i, s := range scores {
 						if s == prunedSentinel {
-							scores[i] = p.Score(solutions[i])
+							scores[i] = pruner.Score(solutions[i])
 							rescored++
 						}
 					}

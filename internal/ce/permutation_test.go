@@ -121,7 +121,7 @@ func TestPermutationSamplesAreValid(t *testing.T) {
 	rng := xrand.New(2)
 	dst := make([]int, 12)
 	for i := 0; i < 200; i++ {
-		if err := p.Sample(rng, dst); err != nil {
+		if _, err := p.SampleScore(rng, dst); err != nil {
 			t.Fatal(err)
 		}
 		seen := make([]bool, 12)

@@ -1,6 +1,7 @@
 package ce
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -97,85 +98,94 @@ func min(a, b int) int {
 	return b
 }
 
-// mockFused is a trivial problem that counts which scoring path the CE
-// loop exercises. Solutions are single-int draws; score = the draw.
-type mockFused struct {
-	n            int
-	sampleCalls  int
+// mockPruner is a trivial problem that implements GammaPruner and counts
+// how the CE loop drives it. Solutions are single-int draws, score = the
+// draw. Every Update shifts the draw range up by 500, so the threshold
+// installed after one iteration prunes every draw of the next and the
+// loop must rescue them all through Score.
+type mockPruner struct {
+	offset       int
+	gamma        float64
+	gammaCalls   int
 	scoreCalls   int
-	fusedCalls   int
 	allowUpdates int
 }
 
-func (m *mockFused) NewSolution() []int { return make([]int, 1) }
-func (m *mockFused) Copy(dst, src []int) {
+func newMockPruner() *mockPruner { return &mockPruner{gamma: math.Inf(1), allowUpdates: 3} }
+
+func (m *mockPruner) NewSolution() []int { return make([]int, 1) }
+func (m *mockPruner) Copy(dst, src []int) {
 	copy(dst, src)
 }
-func (m *mockFused) Sample(rng *xrand.RNG, dst []int) error {
-	m.sampleCalls++
-	dst[0] = int(rng.Uint64() % 1000)
-	return nil
+func (m *mockPruner) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
+	dst[0] = m.offset + int(rng.Uint64()%1000)
+	if float64(dst[0]) > m.gamma {
+		return math.Inf(1), nil
+	}
+	return float64(dst[0]), nil
 }
-func (m *mockFused) Score(s []int) float64 {
+func (m *mockPruner) SetPruneGamma(gamma float64) {
+	m.gammaCalls++
+	m.gamma = gamma
+}
+func (m *mockPruner) Score(s []int) float64 {
 	m.scoreCalls++
 	return float64(s[0])
 }
-func (m *mockFused) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
-	m.fusedCalls++
-	dst[0] = int(rng.Uint64() % 1000)
-	return float64(dst[0]), nil
+func (m *mockPruner) Update(elite [][]int, zeta float64) error {
+	m.offset += 500
+	return nil
 }
-func (m *mockFused) Update(elite [][]int, zeta float64) error { return nil }
-func (m *mockFused) Converged() bool {
+func (m *mockPruner) Converged() bool {
 	m.allowUpdates--
 	return m.allowUpdates <= 0
 }
 
-// TestRunDetectsSampleScorer: with a SampleScorer problem the loop must
-// take the fused path — and revert to Sample+Score under UnfusedScoring —
-// with identical results either way (both paths consume the same RNG
-// stream).
-func TestRunDetectsSampleScorer(t *testing.T) {
+// TestRunDetectsGammaPruner: with a GammaPruner problem the loop must
+// install thresholds and rescue pruned draws through Score; through a view
+// that exposes only Problem it must do neither — with identical search
+// results either way (pruning is a pure strength reduction).
+func TestRunDetectsGammaPruner(t *testing.T) {
 	cfg := Config{SampleSize: 64, Rho: 0.1, Zeta: 0.5, MaxIterations: 5, Workers: 1, Seed: 9, Minimize: true}
 
-	fusedProb := &mockFused{allowUpdates: 3}
-	fusedRes, err := Run[[]int](fusedProb, cfg)
+	pruner := newMockPruner()
+	prunedRes, err := Run[[]int](pruner, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fusedProb.fusedCalls == 0 {
-		t.Fatal("fused path not taken despite SampleScorer implementation")
+	if pruner.gammaCalls == 0 {
+		t.Fatal("no pruning threshold installed despite GammaPruner implementation")
 	}
-	if fusedProb.sampleCalls != 0 || fusedProb.scoreCalls != 0 {
-		t.Fatalf("fused run also used unfused path: %d Sample, %d Score calls",
-			fusedProb.sampleCalls, fusedProb.scoreCalls)
+	if pruner.scoreCalls == 0 {
+		t.Fatal("pruned draws were never rescued through Score")
+	}
+	rescued := 0
+	for _, it := range prunedRes.History {
+		rescued += it.Rescored
+	}
+	if rescued != pruner.scoreCalls {
+		t.Fatalf("history reports %d rescued draws, Score was called %d times", rescued, pruner.scoreCalls)
 	}
 
-	cfg.UnfusedScoring = true
-	unfusedProb := &mockFused{allowUpdates: 3}
-	unfusedRes, err := Run[[]int](unfusedProb, cfg)
+	hidden := newMockPruner()
+	exactRes, err := Run[[]int](struct{ Problem[[]int] }{hidden}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unfusedProb.fusedCalls != 0 {
-		t.Fatal("UnfusedScoring did not disable the fused path")
-	}
-	if unfusedProb.sampleCalls == 0 || unfusedProb.scoreCalls == 0 {
-		t.Fatal("unfused run made no Sample/Score calls")
+	if hidden.gammaCalls != 0 || hidden.scoreCalls != 0 {
+		t.Fatalf("hidden pruner was driven: %d SetPruneGamma, %d Score calls", hidden.gammaCalls, hidden.scoreCalls)
 	}
 
-	if fusedRes.BestScore != unfusedRes.BestScore {
-		t.Fatalf("fused best %v != unfused best %v", fusedRes.BestScore, unfusedRes.BestScore)
+	if prunedRes.BestScore != exactRes.BestScore || prunedRes.Best[0] != exactRes.Best[0] {
+		t.Fatalf("pruned best %v %v != unpruned %v %v",
+			prunedRes.BestScore, prunedRes.Best, exactRes.BestScore, exactRes.Best)
 	}
-	if fusedRes.Best[0] != unfusedRes.Best[0] {
-		t.Fatalf("fused solution %v != unfused %v", fusedRes.Best, unfusedRes.Best)
+	if len(prunedRes.History) != len(exactRes.History) {
+		t.Fatalf("history lengths differ: %d vs %d", len(prunedRes.History), len(exactRes.History))
 	}
-	if len(fusedRes.History) != len(unfusedRes.History) {
-		t.Fatalf("history lengths differ: %d vs %d", len(fusedRes.History), len(unfusedRes.History))
-	}
-	for i := range fusedRes.History {
-		a, b := fusedRes.History[i], unfusedRes.History[i]
-		if a.Gamma != b.Gamma || a.Best != b.Best || a.Worst != b.Worst || a.Mean != b.Mean {
+	for i := range prunedRes.History {
+		a, b := prunedRes.History[i], exactRes.History[i]
+		if a.Gamma != b.Gamma || a.Best != b.Best || a.BestSoFar != b.BestSoFar {
 			t.Fatalf("iteration %d stats diverge: %+v vs %+v", i, a, b)
 		}
 	}

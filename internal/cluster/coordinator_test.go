@@ -400,3 +400,57 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 		t.Fatalf("%d flights left behind by rejected submissions", st.Flights)
 	}
 }
+
+// TestCoordinatorIgnoresDeprecatedUnprunedScoring: the deprecated
+// unpruned_scoring option cannot change a result, so a submission that
+// differs only in it shares the first one's content address and is
+// answered from the cache — exactly one solve runs across the workers.
+func TestCoordinatorIgnoresDeprecatedUnprunedScoring(t *testing.T) {
+	ws := startWorkers(t, 2)
+	co := newTestCoordinator(t, ws, Options{})
+
+	req := api.SubmitRequest{
+		Instance: instanceJSON(t, 6, 10),
+		Solver:   api.SolverMaTCH,
+		Options:  api.SolverOptions{Seed: 4, Workers: 2},
+	}
+	first, err := co.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if final := waitDone(t, co, first.ID); final.State != api.StateDone {
+		t.Fatalf("job ended %q", final.State)
+	}
+	res, err := co.Result(first.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+
+	req.Options.UnprunedScoring = true
+	second, err := co.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit with unpruned_scoring: %v", err)
+	}
+	if second.Key != first.Key {
+		t.Fatalf("unpruned_scoring changed the content key: %q vs %q", second.Key, first.Key)
+	}
+	if second.State != api.StateDone || !second.CacheHit {
+		t.Fatalf("second submission state=%q cacheHit=%v, want an immediate cache hit", second.State, second.CacheHit)
+	}
+
+	var solves, iterations float64
+	for _, w := range ws {
+		var buf bytes.Buffer
+		if err := w.m.Registry().WritePrometheus(&buf); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		solves += metricValue(t, buf.String(), "matchd_solves_total")
+		iterations += metricValue(t, buf.String(), "matchd_solver_iterations_total")
+	}
+	if solves != 1 {
+		t.Fatalf("workers ran %v solves, want 1", solves)
+	}
+	if iterations != float64(res.Iterations) {
+		t.Fatalf("workers ran %v CE iterations, want the one solve's %d", iterations, res.Iterations)
+	}
+}

@@ -86,19 +86,6 @@ type Options struct {
 	// beyond the paper that removes the small residual gaps the eq. 12
 	// stop can leave. The extra cost is O(n^2 * deg) per descent step.
 	Polish bool
-	// UnfusedScoring disables the fused sample-and-score fast path,
-	// forcing the CE loop back to separate Sample and Score calls. Both
-	// paths draw from identical RNG streams and produce identical results;
-	// the switch exists for A/B benchmarking and as an escape hatch.
-	UnfusedScoring bool
-	// UnprunedScoring disables gamma-pruned scoring on the fused path.
-	// Pruning cuts a draw's cost accumulation short once the makespan
-	// provably exceeds the previous iteration's elite threshold; the CE
-	// loop re-scores any draw the elite boundary could reach, so elite
-	// sets, telemetry and the final mapping are identical either way (see
-	// ce.GammaPruner). The switch exists for A/B benchmarking and as an
-	// escape hatch.
-	UnprunedScoring bool
 	// Context, when non-nil, cancels the run: the CE loop stops within at
 	// most one iteration of cancellation. If at least one iteration
 	// completed, Solve returns the best-so-far Result with StopReason
@@ -218,21 +205,18 @@ type Result struct {
 	finalStableRuns int
 }
 
-// problem implements ce.Problem[[]int] (and ce.SampleScorer[[]int]) for
-// the mapping COP.
+// problem implements ce.Problem[[]int] and ce.GammaPruner[[]int] for the
+// mapping COP.
 type problem struct {
 	eval *cost.Evaluator
 	n    int
 	p    *stochmat.Matrix
 	q    *stochmat.Matrix // elite counts buffer, reused each iteration
 
-	// cdf and alias cache per-row lookup tables of p for the fast GenPerm
-	// sampler: the alias table serves the O(1) rejection fast path, the
-	// prefix-sum table the compact fallback and external CDF consumers.
-	// Both are rebuilt after every mutation of p (all of which happen on a
-	// single goroutine between sampling phases) and read concurrently by
-	// the sampling workers.
-	cdf   *stochmat.RowCDF
+	// alias caches per-row alias tables of p for the fast GenPerm
+	// sampler's O(1) rejection path. It is rebuilt after every mutation of
+	// p (all of which happen on a single goroutine between sampling
+	// phases) and read concurrently by the sampling workers.
 	alias *stochmat.AliasTable
 
 	counts []float64 // Update scratch: elite assignment frequencies
@@ -244,15 +228,13 @@ type problem struct {
 	countSupIdx []int32
 	countSupLen []int32
 
-	// pruneGamma is the elite threshold the fused scorers prune against
+	// pruneGamma is the elite threshold the draw scorers prune against
 	// (+Inf disables). Written by ce.Run between iterations via
 	// SetPruneGamma, read by the sampling workers; the pool's iteration
 	// barrier orders the accesses.
 	pruneGamma float64
 
-	samplers sync.Pool // *stochmat.Sampler, for the unfused Sample path
-	scratch  sync.Pool // *[]float64 load buffers, for the unfused Score path
-	fused    sync.Pool // *fusedState, for the SampleScore path
+	draws sync.Pool // *drawState, per-goroutine SampleScore scratch
 
 	// Sampling telemetry, accumulated by the workers and drained once per
 	// iteration by ce.Run (TakeSampleStats). Workers add only when a draw
@@ -273,10 +255,10 @@ type problem struct {
 	snapshots     []Snapshot
 }
 
-// fusedState is the per-goroutine scratch of the fused sample-and-score
-// path: the GenPerm sampler and the gamma-pruning scorer that evaluates
-// each finished draw with a single edge-list sweep.
-type fusedState struct {
+// drawState is the per-goroutine scratch of SampleScore: the GenPerm
+// sampler and the gamma-pruning scorer that evaluates each finished draw
+// with a single edge-list sweep.
+type drawState struct {
 	sampler *stochmat.Sampler
 	scorer  *cost.StreamScorer
 }
@@ -302,18 +284,12 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 			pr.p.TrackSupport(opts.SparseCut)
 		}
 	}
-	pr.cdf = stochmat.NewRowCDF(pr.p)
 	pr.alias = stochmat.NewAliasTable(pr.p)
 	for i := range pr.prevArgmax {
 		pr.prevArgmax[i] = -1
 	}
-	pr.samplers.New = func() any { return stochmat.NewSampler(n) }
-	pr.scratch.New = func() any {
-		buf := make([]float64, eval.NumResources())
-		return &buf
-	}
-	pr.fused.New = func() any {
-		return &fusedState{
+	pr.draws.New = func() any {
+		return &drawState{
 			sampler: stochmat.NewSampler(n),
 			scorer:  cost.NewStreamScorer(eval),
 		}
@@ -322,14 +298,6 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 		pr.snapshots = append(pr.snapshots, Snapshot{Iter: 0, Matrix: pr.p.Clone()})
 	}
 	return pr
-}
-
-// refreshCDF re-derives the sampler's lookup tables (prefix sums and
-// alias) after p changed. Callers must ensure no sampling worker is
-// running concurrently.
-func (pr *problem) refreshCDF() {
-	pr.cdf.Rebuild(pr.p)
-	pr.alias.Rebuild(pr.p)
 }
 
 // applyWarmStart re-initialises P_0 with bias mass on the warm mapping's
@@ -359,7 +327,7 @@ func (pr *problem) applyWarmStart(warm cost.Mapping, bias float64) error {
 		// Replace the initial snapshot with the biased matrix.
 		pr.snapshots[0] = Snapshot{Iter: 0, Matrix: pr.p.Clone()}
 	}
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 	return nil
 }
 
@@ -368,18 +336,6 @@ func (pr *problem) NewSolution() []int { return make([]int, pr.n) }
 
 // Copy implements ce.Problem.
 func (pr *problem) Copy(dst, src []int) { copy(dst, src) }
-
-// Sample implements ce.Problem: one GenPerm draw from the current matrix.
-// It uses the same alias-accelerated fast sampler as SampleScore so the
-// fused and unfused paths consume identical RNG streams and stay
-// bit-for-bit interchangeable.
-func (pr *problem) Sample(rng *xrand.RNG, dst []int) error {
-	s := pr.samplers.Get().(*stochmat.Sampler)
-	err := s.SamplePermutationFast(pr.p, pr.cdf, pr.alias, rng, dst, nil)
-	pr.drainSamplerStats(s)
-	pr.samplers.Put(s)
-	return err
-}
 
 // drainSamplerStats moves a sampler's local draw counters into the shared
 // atomics. Instrumentation only — never touches the RNG or the draw.
@@ -404,22 +360,22 @@ func (pr *problem) TakeSampleStats() ce.SampleStats {
 	}
 }
 
-// SampleScore implements ce.SampleScorer: one GenPerm draw scored in
-// place by a single gamma-pruned edge-list sweep (cost.ScoreMapping) —
-// each TIG edge is touched exactly once, half the memory traffic of a
-// placement-order adjacency walk, and provably over-threshold draws
-// return PrunedScore early. Sampling itself always runs to completion so
-// the RNG stream is identical with pruning on or off (see ce.GammaPruner).
+// SampleScore implements ce.Problem: one GenPerm draw through the alias
+// sampler, scored in place by a single gamma-pruned edge-list sweep
+// (cost.StreamScorer.ScoreMapping) — each TIG edge is touched exactly
+// once, and provably over-threshold draws return PrunedScore early.
+// Sampling itself always runs to completion so the RNG stream is
+// identical with pruning on or off (see ce.GammaPruner).
 func (pr *problem) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
-	fs := pr.fused.Get().(*fusedState)
-	fs.scorer.SetGamma(pr.pruneGamma)
-	err := fs.sampler.SamplePermutationFast(pr.p, pr.cdf, pr.alias, rng, dst, nil)
-	score := fs.scorer.ScoreMapping(dst)
-	pr.drainSamplerStats(fs.sampler)
-	if skipped := fs.scorer.SkippedEdges(); skipped > 0 {
+	ds := pr.draws.Get().(*drawState)
+	ds.scorer.SetGamma(pr.pruneGamma)
+	err := ds.sampler.SamplePermutationFast(pr.p, pr.alias, rng, dst)
+	score := ds.scorer.ScoreMapping(dst)
+	pr.drainSamplerStats(ds.sampler)
+	if skipped := ds.scorer.SkippedEdges(); skipped > 0 {
 		pr.statSkippedEdges.Add(uint64(skipped))
 	}
-	pr.fused.Put(fs)
+	pr.draws.Put(ds)
 	if err != nil {
 		return 0, err
 	}
@@ -427,24 +383,26 @@ func (pr *problem) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
 }
 
 // SetPruneGamma implements ce.GammaPruner: install the elite threshold the
-// fused scorers prune against from the next iteration on. Called from the
+// draw scorers prune against from the next iteration on. Called from the
 // CE loop's single-threaded update phase.
 func (pr *problem) SetPruneGamma(gamma float64) { pr.pruneGamma = gamma }
 
-// TakeBuildStats implements ce.BuildStatsProvider: per-iteration
-// lookup-table rebuild counters from the alias table's dirty-row tracking
-// (the CDF skips exactly the same rows). Called from the CE loop's
-// single-threaded update phase.
-func (pr *problem) TakeBuildStats() (rebuilt, skipped uint64) {
-	return pr.alias.TakeBuildStats()
+// Score implements ce.GammaPruner: the exact application execution time,
+// for the CE loop's rescue re-scoring of pruned draws. An unpruned sweep
+// is bit-identical to Evaluator.ExecInto.
+func (pr *problem) Score(m []int) float64 {
+	ds := pr.draws.Get().(*drawState)
+	ds.scorer.SetGamma(math.Inf(1))
+	exec := ds.scorer.ScoreMapping(m)
+	pr.draws.Put(ds)
+	return exec
 }
 
-// Score implements ce.Problem: the application execution time.
-func (pr *problem) Score(m []int) float64 {
-	buf := pr.scratch.Get().(*[]float64)
-	exec := pr.eval.ExecInto(cost.Mapping(m), *buf)
-	pr.scratch.Put(buf)
-	return exec
+// TakeBuildStats implements ce.BuildStatsProvider: per-iteration
+// lookup-table rebuild counters from the alias table's dirty-row
+// tracking. Called from the CE loop's single-threaded update phase.
+func (pr *problem) TakeBuildStats() (rebuilt, skipped uint64) {
+	return pr.alias.TakeBuildStats()
 }
 
 // Update implements ce.Problem: eq. (11) re-estimation + eq. (13)
@@ -484,7 +442,7 @@ func (pr *problem) Update(elite [][]int, zeta float64) error {
 		// Fused eq. (11)+(13) with truncation: each row updates over the
 		// union of its own support and the elite count support — O(nnz)
 		// for converged rows — and rows the update leaves bit-identical
-		// keep their version, so refreshCDF skips them below.
+		// keep their version, so the alias rebuild skips them below.
 		for i := 0; i < pr.n; i++ {
 			sup := pr.countSupIdx[i*pr.n : i*pr.n+int(pr.countSupLen[i])]
 			slices.Sort(sup)
@@ -502,7 +460,7 @@ func (pr *problem) Update(elite [][]int, zeta float64) error {
 			return err
 		}
 	}
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 
 	// eq. 12: track stability of each row's maximal element.
 	stable := true
@@ -567,18 +525,16 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, init func(*problem) er
 		}
 	}
 	cfg := ce.Config{
-		SampleSize:      opts.SampleSize,
-		Rho:             opts.Rho,
-		Zeta:            opts.Zeta,
-		StallWindow:     opts.GammaStallWindow,
-		MaxIterations:   opts.MaxIterations,
-		Workers:         opts.Workers,
-		Seed:            opts.Seed,
-		Minimize:        true,
-		UnfusedScoring:  opts.UnfusedScoring,
-		UnprunedScoring: opts.UnprunedScoring,
-		Context:         opts.Context,
-		OnIteration:     opts.OnIteration,
+		SampleSize:    opts.SampleSize,
+		Rho:           opts.Rho,
+		Zeta:          opts.Zeta,
+		StallWindow:   opts.GammaStallWindow,
+		MaxIterations: opts.MaxIterations,
+		Workers:       opts.Workers,
+		Seed:          opts.Seed,
+		Minimize:      true,
+		Context:       opts.Context,
+		OnIteration:   opts.OnIteration,
 	}
 
 	// Periodic checkpoint export: track the incumbent via the improve hook

@@ -108,9 +108,10 @@ func NewEvaluator(tig *graph.TIG, platform *graph.ResourceGraph) (*Evaluator, er
 	if !platform.FullyLinked() {
 		return nil, fmt.Errorf("cost: platform %q is not fully linked; call CloseLinks first", platform.Name)
 	}
-	// The fused scoring path walks adjacency lists from concurrent
-	// sampling workers; build the CSR arrays up front so those calls
-	// never trigger the (single-threaded) lazy rebuild.
+	// An evaluator is shared across goroutines, and its adjacency-list
+	// readers (State's swap probes among them) may run concurrently;
+	// build the CSR arrays up front so those calls never trigger the
+	// (single-threaded) lazy rebuild.
 	tig.BuildAdjacency()
 	n, r := tig.NumTasks(), platform.NumResources()
 	e := &Evaluator{

@@ -82,13 +82,6 @@ func TestSingleTaskGraph(t *testing.T) {
 		if got := ss.ScoreMapping(m); got != want {
 			t.Fatalf("ScoreMapping on resource %d = %v, want %v", rs, got, want)
 		}
-		got, err := ss.Score(m)
-		if err != nil {
-			t.Fatalf("Score: %v", err)
-		}
-		if got != want {
-			t.Fatalf("Score on resource %d = %v, want %v", rs, got, want)
-		}
 		st, err := NewState(e, m)
 		if err != nil {
 			t.Fatalf("NewState: %v", err)

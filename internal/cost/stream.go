@@ -1,75 +1,30 @@
 package cost
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
-// StreamScorer accumulates the execution-time model of eqs. (1)-(2)
-// *while a mapping is being constructed*: as each task is placed on a
-// resource, its compute time is charged immediately and every TIG edge is
-// charged exactly once — at the moment its second endpoint is placed. By
-// the time the last task lands, the makespan is already known, so the
-// CE sample-and-score loop never has to re-walk the whole graph (and
-// refetch the TIG from memory) a second time.
-//
-// Place is branch-free in its edge loop. An unplaced neighbour is encoded
-// as the out-of-range resource r, and the link matrix is stored padded
-// with a zero column at index r, so an unplaced neighbour's edge term is
-// weight*0 with no clamping or conditional at all; a co-located neighbour
-// contributes zero through the link matrix's zero diagonal. Adding an
-// exact 0.0 never changes a load, so the accumulated sums stay identical
-// to the branchy formulation while avoiding the data-dependent branch
-// mispredictions that dominate its cost on randomly drawn mappings.
-//
-// The accumulated makespan sums exactly the same terms as Evaluator.Exec,
-// only in placement order instead of canonical order. For integer-valued
-// weights (the paper's Section 5.2 generator draws all weights from small
-// integer ranges) every partial sum is exact and the fused score is
-// bit-identical to Evaluator.Exec; for arbitrary float weights the two
-// agree to within a few ULPs (tested at 1e-9 relative).
+// StreamScorer evaluates the execution-time model of eqs. (1)-(2) for the
+// CE sample-and-score loop: ScoreMapping scores a freshly drawn mapping
+// with one sweep over the TIG edge list, optionally cutting the sweep
+// short once the draw provably cannot reach an installed elite threshold.
 //
 // A StreamScorer holds per-goroutine scratch state: create one per worker
-// (or pool them) and Reset it before each draw. Not safe for concurrent
-// use.
+// (or pool them). Not safe for concurrent use.
 //
 // # Gamma pruning
 //
-// SetGamma installs an elite threshold: once the partial accumulation
-// *proves* the final makespan must exceed it, Place stops accumulating
-// (the edge scans of all remaining placements are skipped) and Makespan
-// returns PrunedScore instead of the true value. Two sound tests drive
-// the proof, both monotone under the model's non-negative charges:
-//
-//  1. Busiest-resource test: the just-placed resource's running load
-//     already exceeds gamma — checked once per placement. Floating-point
-//     safe as-is — later non-negative adds cannot shrink a rounded sum,
-//     so the final load is >= the partial.
-//  2. Remaining-work test (the LB1 relaxation of bounds.LowerBound): the
-//     total charge so far plus the smallest possible compute of the
-//     still-unplaced tasks, spread perfectly over all resources, exceeds
-//     gamma. Guarded by a relative slack so accumulated rounding error
-//     can never prune a sample whose true score ties the threshold.
-//
-// Both tests prove "final makespan > gamma", so a pruned sample can never
-// enter an elite set thresholded at gamma; callers that need exact scores
-// for pruned draws (the CE rescue path) re-score the materialised mapping.
-// The zero threshold state (+Inf) disables pruning entirely.
+// SetGamma installs an elite threshold. Loads only grow as charges
+// accumulate (every charge of the model is non-negative, and adding a
+// non-negative float never shrinks a rounded sum), so once the busiest
+// partial load exceeds gamma the final makespan must too: ScoreMapping
+// then returns PrunedScore instead of the true value. A pruned sample can
+// therefore never enter an elite set thresholded at gamma; callers that
+// need exact scores for pruned draws (the CE rescue path) re-score the
+// mapping with the threshold at +Inf, which disables pruning entirely.
 type StreamScorer struct {
 	eval *Evaluator
 
-	// loads has r+1 entries: one per resource plus a spill slot at index
-	// r that absorbs the exact-zero charges of unplaced neighbours.
+	// loads holds one accumulated load per resource.
 	loads []float64
-
-	// linkPad is the evaluator's link matrix laid out r rows by r+1
-	// columns, the extra column all zero, so linkPad[s*(r+1)+r] == 0.
-	linkPad []float64
-
-	// placedRes[t] is the resource of task t in the current draw, or the
-	// sentinel r while t is unplaced.
-	placedRes []int
 
 	// Gamma-pruning state. gamma is +Inf when pruning is disabled.
 	gamma float64
@@ -78,68 +33,29 @@ type StreamScorer struct {
 	// aggregates into a work-avoided counter.
 	skippedEdges int
 	pruned       bool
-	placedCnt    int
-	totalLoad    float64 // sum of all charges so far (compute + both comm halves)
-	// minTail[k] is a lower bound on the total compute the n-k tasks still
-	// unplaced after k placements must add: the sum of the n-k smallest
-	// per-task minimum compute times (bounds.PerTaskMinCompute), built
-	// lazily on the first SetGamma with a finite threshold.
-	minTail []float64
-	invR    float64
 }
 
-// PrunedScore is the pinned score Makespan reports for a draw whose true
-// makespan was proven to exceed the installed gamma threshold. It compares
-// worse than every real score, so pruned samples sort after all exact ones.
+// PrunedScore is the pinned score ScoreMapping reports for a draw whose
+// true makespan was proven to exceed the installed gamma threshold. It
+// compares worse than every real score, so pruned samples sort after all
+// exact ones.
 var PrunedScore = math.Inf(1)
-
-// pruneSlack is the relative safety margin of the remaining-work test: the
-// bound must exceed gamma by this fraction before pruning. It dominates
-// the worst-case relative rounding error of the O(n^2)-term accumulation
-// (~n^2 * 2^-52), so a sample whose exact score equals gamma is never
-// mispruned; for the paper's integer-weight instances any true gap is
-// >= 1, which the slack never masks.
-const pruneSlack = 1e-9
 
 // NewStreamScorer returns a scorer for mappings evaluated by e.
 func NewStreamScorer(e *Evaluator) *StreamScorer {
-	ss := &StreamScorer{
-		eval:      e,
-		loads:     make([]float64, e.r+1),
-		linkPad:   make([]float64, e.r*(e.r+1)),
-		placedRes: make([]int, e.n),
-		gamma:     math.Inf(1),
-		invR:      1 / float64(e.r),
+	return &StreamScorer{
+		eval:  e,
+		loads: make([]float64, e.r),
+		gamma: math.Inf(1),
 	}
-	for s := 0; s < e.r; s++ {
-		copy(ss.linkPad[s*(e.r+1):s*(e.r+1)+e.r], e.link[s*e.r:(s+1)*e.r])
-	}
-	for i := range ss.placedRes {
-		ss.placedRes[i] = e.r
-	}
-	return ss
 }
 
 // SetGamma installs the pruning threshold (see the type comment); +Inf
-// disables pruning. It applies from the next Reset onwards.
-func (ss *StreamScorer) SetGamma(gamma float64) {
-	ss.gamma = gamma
-	if !math.IsInf(gamma, 1) && ss.minTail == nil {
-		minCompute := PerTaskMinCompute(ss.eval)
-		sort.Float64s(minCompute)
-		// minTail[k] = sum of the (n-k) smallest entries; minTail[n] = 0.
-		tail := make([]float64, ss.eval.n+1)
-		acc := 0.0
-		for i, v := range minCompute {
-			acc += v
-			tail[ss.eval.n-1-i] = acc
-		}
-		ss.minTail = tail
-	}
-}
+// disables pruning. It applies from the next ScoreMapping call onwards.
+func (ss *StreamScorer) SetGamma(gamma float64) { ss.gamma = gamma }
 
-// Pruned reports whether the current draw was cut short by the gamma
-// threshold.
+// Pruned reports whether the last ScoreMapping call was cut short by the
+// gamma threshold.
 func (ss *StreamScorer) Pruned() bool { return ss.pruned }
 
 // SkippedEdges reports how many edge charges the last ScoreMapping call
@@ -147,124 +63,12 @@ func (ss *StreamScorer) Pruned() bool { return ss.pruned }
 // pruned only by the final check).
 func (ss *StreamScorer) SkippedEdges() int { return ss.skippedEdges }
 
-// Reset prepares the scorer for a new draw. The gamma threshold persists
-// across draws; only per-draw accumulation state clears.
-func (ss *StreamScorer) Reset() {
-	for i := range ss.loads {
-		ss.loads[i] = 0
-	}
-	r := ss.eval.r
-	for i := range ss.placedRes {
-		ss.placedRes[i] = r
-	}
-	ss.pruned = false
-	ss.placedCnt = 0
-	ss.totalLoad = 0
-}
-
-// Place records that task t has been assigned to resource s, charging
-// t's compute time to s and, for every already-placed neighbour, the
-// edge's communication time to both endpoints' resources (eq. 1). Cost is
-// O(deg(t)) — or O(1) once the draw has been gamma-pruned. Placing the
-// same task twice in one draw is a caller bug and double-counts; the CE
-// samplers assign each task exactly once.
-func (ss *StreamScorer) Place(t, s int) {
-	if ss.pruned {
-		return
-	}
-	e := ss.eval
-	loads := ss.loads
-	placed := ss.placedRes
-	r1 := e.r + 1
-	linkRow := ss.linkPad[s*r1 : s*r1+r1]
-	// Accumulate this resource's share in a register; a neighbour hosted
-	// on s itself contributes exactly zero (the diagonal), so the single
-	// write-back at the end observes the same addition order.
-	oldLs := loads[s]
-	tcp := e.tcp[t*e.r+s]
-	// Two accumulators break the floating-point add dependency chain:
-	// consecutive edge charges land in alternating registers, so the adds
-	// overlap instead of serialising on FP latency. Each accumulator sums
-	// integer-exact terms on the paper generator's instances, so the split
-	// leaves those scores bit-identical; float instances stay within the
-	// few-ULP envelope the type comment documents.
-	ls0 := oldLs + tcp
-	ls1 := 0.0
-	nbs := e.tig.Neighbors(t)
-	i := 0
-	for ; i+1 < len(nbs); i += 2 {
-		nb0, nb1 := nbs[i], nbs[i+1]
-		// b == r (unplaced): linkRow[r] is the zero pad column, and
-		// the charge lands in the loads[r] spill slot.
-		b0 := placed[nb0.To]
-		b1 := placed[nb1.To]
-		c0 := nb0.Weight * linkRow[b0]
-		c1 := nb1.Weight * linkRow[b1]
-		ls0 += c0
-		loads[b0] += c0
-		ls1 += c1
-		loads[b1] += c1
-	}
-	if i < len(nbs) {
-		nb := nbs[i]
-		b := placed[nb.To]
-		c := nb.Weight * linkRow[b]
-		ls0 += c
-		loads[b] += c
-	}
-	ls := ls0 + ls1
-	loads[s] = ls
-	placed[t] = s
-	gamma := ss.gamma
-	if math.IsInf(gamma, 1) {
-		return
-	}
-	ss.placedCnt++
-	// Busiest-resource test on the placed resource. (Checking far
-	// endpoints per edge is not worth its inner-loop branch: on the paper
-	// instances loads grow near-linearly, so over-gamma draws only become
-	// provably so in the last few placements either way.)
-	if ls > gamma {
-		ss.pruned = true
-		return
-	}
-	// delta = compute + this task's half of the new comm charges; the
-	// far halves double the comm term. Spill-slot charges are exact
-	// zeros, so they do not inflate the total.
-	delta := ls - oldLs
-	ss.totalLoad += 2*delta - tcp
-	if (ss.totalLoad+ss.minTail[ss.placedCnt])*ss.invR > gamma*(1+pruneSlack) {
-		ss.pruned = true
-	}
-}
-
-// Makespan returns Exec(M) for the placements made since the last Reset:
-// one O(|Vr|) scan of the accumulated loads — or PrunedScore when the
-// draw was gamma-pruned (the true makespan provably exceeds the
-// threshold). With every task placed it equals Evaluator.Exec of the same
-// mapping (exactly so for integer-weight instances; see the type comment).
-func (ss *StreamScorer) Makespan() float64 {
-	if ss.pruned {
-		return PrunedScore
-	}
-	maxLoad := 0.0
-	for _, l := range ss.loads[:ss.eval.r] {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	return maxLoad
-}
-
 // ScoreMapping scores a complete mapping in one pass: compute charges in
-// task order, then a single sweep over the edge list — each edge is
-// touched once, versus twice for Place's placement-order adjacency walk
-// (where an edge's first visit always multiplies by the zero pad column).
-// On the CE hot path the permutation is fully known by scoring time, so
-// this sweep does the same floating-point additions as Evaluator.Loads in
-// the same order (co-located edges add an exact 0.0 through the link
-// diagonal instead of branching) and the result is bit-identical to
-// ExecInto on every instance.
+// task order, then a single sweep over the edge list, touching each edge
+// once. The sweep does the same floating-point additions as
+// Evaluator.Loads in the same order (co-located edges add an exact 0.0
+// through the link diagonal instead of branching), so with pruning off
+// the result is bit-identical to ExecInto on every instance.
 //
 // The installed gamma threshold prunes the sweep at block granularity:
 // after every pruneBlockEdges edges the current busiest load is scanned,
@@ -272,12 +76,10 @@ func (ss *StreamScorer) Makespan() float64 {
 // makespan does — PrunedScore is returned and the remaining blocks are
 // skipped. Every over-threshold mapping is caught (the last scan sees the
 // final loads), the per-edge loop body carries no extra compare, and the
-// accumulation is identical with pruning on or off. ScoreMapping is
-// independent of the streaming Reset/Place protocol and sets only the
-// Pruned flag.
+// accumulation is identical with pruning on or off.
 func (ss *StreamScorer) ScoreMapping(m []int) float64 {
 	e := ss.eval
-	loads := ss.loads[:e.r]
+	loads := ss.loads
 	for i := range loads {
 		loads[i] = 0
 	}
@@ -351,22 +153,4 @@ func maxLoads(loads []float64) float64 {
 		m0 = max(m0, loads[i])
 	}
 	return max(max(m0, m1), max(m2, m3))
-}
-
-// Score is the convenience one-shot form: Reset, Place every task of m in
-// index order, and return the makespan. It exists for tests and for
-// callers that want the streaming accumulator's semantics without driving
-// placements themselves.
-func (ss *StreamScorer) Score(m Mapping) (float64, error) {
-	if len(m) != ss.eval.n {
-		return 0, fmt.Errorf("cost: mapping length %d for %d tasks", len(m), ss.eval.n)
-	}
-	if err := m.Validate(ss.eval.r); err != nil {
-		return 0, err
-	}
-	ss.Reset()
-	for t, s := range m {
-		ss.Place(t, s)
-	}
-	return ss.Makespan(), nil
 }

@@ -183,6 +183,50 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
+// TestKeyIgnoresDeprecatedUnprunedScoring: the deprecated option is
+// accepted but cannot change a result, so it must not split the content
+// address — and a resubmission differing only in it is a cache hit.
+func TestKeyIgnoresDeprecatedUnprunedScoring(t *testing.T) {
+	inst := instanceJSON(t, 2, 8)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	opts := api.SolverOptions{Seed: 3, Workers: 1}
+	k1, err := Key(p, api.SolverMaTCH, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.UnprunedScoring = true
+	k2, err := Key(p, api.SolverMaTCH, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Fatalf("unpruned_scoring changed the key: %s vs %s", k1, k2)
+	}
+
+	m := New(Options{Workers: 1})
+	defer m.Shutdown(context.Background())
+	req := api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: api.SolverOptions{Seed: 3, Workers: 1}}
+	first, err := m.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitTerminal(t, m, first.ID, 30*time.Second)
+	req.Options.UnprunedScoring = true
+	second, err := m.Submit(req)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if second.Key != first.Key || !second.CacheHit {
+		t.Fatalf("resubmission key=%s cacheHit=%v, want key %s and a cache hit", second.Key, second.CacheHit, first.Key)
+	}
+	if st := m.Stats(); st.SolvesTotal != 1 {
+		t.Fatalf("%d solves, want 1", st.SolvesTotal)
+	}
+}
+
 func compactJSON(dst *bytes.Buffer, src []byte) error {
 	return json.Compact(dst, src)
 }

@@ -33,7 +33,7 @@ type Matrix struct {
 	p          []float64
 
 	// id and version implement the change tracking that lets the
-	// per-iteration lookup-table rebuilds (RowCDF, AliasTable) skip rows
+	// per-iteration AliasTable rebuilds skip rows
 	// the eq. (13) update left bit-identical. id is assigned lazily (see
 	// ID); version is allocated lazily on first mutation, every row
 	// implicitly at version 1 until then.
@@ -514,7 +514,6 @@ type Sampler struct {
 	order   []int     // task visiting order buffer
 	free    []int     // unassigned columns (compact, swap-removed)
 	pos     []int     // pos[col] = index of col in free
-	fen     *Fenwick  // lazily allocated, for SamplePermutationFenwick
 
 	// stats accumulates draw telemetry (SamplePermutationFast only). The
 	// counters are plain uint64s — a Sampler is single-goroutine scratch —
@@ -529,7 +528,7 @@ type Sampler struct {
 // a crowded one falls back almost always).
 type SampleStats struct {
 	// RejectTries counts rejected fast-path tries: draws from the full-row
-	// alias/CDF distribution that landed on an already-assigned column and
+	// alias distribution that landed on an already-assigned column and
 	// were thrown away.
 	RejectTries uint64
 	// FallbackDraws counts task assignments that exhausted the rejection
@@ -584,55 +583,6 @@ func (s *Sampler) SamplePermutation(m *Matrix, rng *xrand.RNG, dst []int) error 
 	return nil
 }
 
-// SamplePermutationFenwick is SamplePermutation with the per-task
-// roulette walk replaced by an O(log n) Fenwick-tree descent. It consumes
-// exactly the same RNG variates as the linear sampler and produces the
-// same permutation stream (the descent resolves the same inverse-CDF
-// query the walk does), so the two are interchangeable; the linear path
-// is retained as the reference implementation and for cross-checking.
-func (s *Sampler) SamplePermutationFenwick(m *Matrix, rng *xrand.RNG, dst []int) error {
-	if err := s.checkSquare(m, dst); err != nil {
-		return err
-	}
-	if s.fen == nil || s.fen.Len() != s.cols {
-		s.fen = NewFenwick(s.cols)
-	}
-	s.beginDraw(m.rows, rng)
-	remaining := m.cols
-	for _, task := range s.order {
-		row := m.Row(task)
-		total := 0.0
-		for j := 0; j < m.cols; j++ {
-			if s.masked[j] {
-				s.scratch[j] = 0
-			} else {
-				s.scratch[j] = row[j]
-				total += row[j]
-			}
-		}
-		var choice int
-		if total > 1e-300 {
-			s.fen.Build(s.scratch)
-			// Use the linearly accumulated total (not the tree's) so the
-			// draw value x is bit-identical to the linear sampler's.
-			choice = s.fen.Find(rng.Float64() * total)
-			if choice < 0 || s.masked[choice] {
-				return fmt.Errorf("stochmat: internal error, Fenwick descent picked masked column %d", choice)
-			}
-		} else {
-			var err error
-			choice, err = s.uniformUnmasked(rng, remaining)
-			if err != nil {
-				return err
-			}
-		}
-		dst[task] = choice
-		s.masked[choice] = true
-		remaining--
-	}
-	return nil
-}
-
 // fastSampleMaxRejects is the rejection budget of SamplePermutationFast
 // before it falls back to the exact O(remaining) compact draw. A small
 // fixed cap measures best: on a converged (near-degenerate) matrix the
@@ -651,44 +601,33 @@ func (s *Sampler) SamplePermutationFenwick(m *Matrix, rng *xrand.RNG, dst []int)
 // deterministic for a fixed RNG stream.
 const fastSampleMaxRejects = 3
 
-// SamplePermutationFast draws one GenPerm permutation using the shared
-// per-row lookup tables built once per CE iteration from the same matrix
-// m: the alias table at (when non-nil) or the prefix-sum table cdf. Each
-// task first tries rejection from its full-row distribution — an O(1)
-// alias draw, or an O(log n) binary search over the CDF when no alias
-// table is supplied — redrawing when the sampled column is already
-// assigned. After fastSampleMaxRejects misses it
-// switches to the exact masked draw, evaluated compactly over the
-// unassigned columns only —
-// O(remaining) via a swap-removed free list, not O(n) over the full row.
-// A near-degenerate matrix resolves almost every task on the first try;
-// a near-uniform one degrades to the compact draw whose total cost over a
-// whole permutation is O(n^2/2) simple accumulations — still about half
-// the linear reference's work, with no per-column masking branches. Both
-// regimes beat the O(n^2) reference walk by 2-3x at n = 64.
+// SamplePermutationFast draws one GenPerm permutation using the alias
+// table at, built once per CE iteration from the same matrix m. Each task
+// first tries rejection from its full-row distribution — an O(1) alias
+// draw — redrawing when the sampled column is already assigned. After
+// fastSampleMaxRejects misses it switches to the exact masked draw,
+// evaluated compactly over the unassigned columns only — O(remaining) via
+// a swap-removed free list, not O(n) over the full row. A near-degenerate
+// matrix resolves almost every task on the first try; a near-uniform one
+// degrades to the compact draw whose total cost over a whole permutation
+// is O(n^2/2) simple accumulations — still about half the linear
+// reference's work, with no per-column masking branches. Both regimes
+// beat the O(n^2) reference walk by 2-3x at n = 64.
 //
 // The rejection loop consumes a variable number of RNG variates, and the
-// alias method maps each variate to a different column than the
-// inverse-CDF search would, so the fast stream differs from the
-// linear/Fenwick stream and the alias stream differs from the CDF stream.
-// Within one configuration, draws remain fully deterministic for a fixed
-// RNG stream. Exactly one of at and cdf may be nil.
-//
-// onAssign, when non-nil, is invoked as each task is assigned — the hook
-// the fused sample-and-score path uses to accumulate the makespan while
-// the permutation is still being built.
-func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, rng *xrand.RNG, dst []int, onAssign func(task, col int)) error {
+// alias method maps each variate to a different column than the linear
+// walk's inverse-CDF search would, so the fast stream differs from
+// SamplePermutation's (its distribution does not). Draws remain fully
+// deterministic for a fixed RNG stream.
+func (s *Sampler) SamplePermutationFast(m *Matrix, at *AliasTable, rng *xrand.RNG, dst []int) error {
 	if err := s.checkSquare(m, dst); err != nil {
 		return err
 	}
-	if at != nil {
-		if err := at.checkShape(m); err != nil {
-			return err
-		}
-	} else if cdf == nil {
-		return fmt.Errorf("stochmat: SamplePermutationFast needs an alias table or a CDF")
-	} else if cdf.rows != m.rows || cdf.cols != m.cols {
-		return fmt.Errorf("stochmat: CDF shape %dx%d for matrix %dx%d", cdf.rows, cdf.cols, m.rows, m.cols)
+	if at == nil {
+		return fmt.Errorf("stochmat: SamplePermutationFast needs an alias table")
+	}
+	if err := at.checkShape(m); err != nil {
+		return err
 	}
 	s.beginDraw(m.rows, rng)
 	free := s.free[:m.cols]
@@ -700,47 +639,33 @@ func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, 
 	budget := fastSampleMaxRejects
 	for _, task := range s.order {
 		choice := -1
-		if at != nil {
-			if at.total[task] > 1e-300 {
-				// Alias draws inlined: one uniform variate and at most
-				// two (adjacent-index) table reads per try. No
-				// row[j] > 0 re-check — the alias table gives
-				// zero-weight columns no slot mass, so they are never
-				// drawn, and re-reading the row would cost an extra
-				// random access per try. The table is support-compacted:
-				// nSup live slots covering the row's nonzero columns, so
-				// converged rows draw from O(nnz) slots. For strictly
-				// positive rows nSup == cols and the slot columns are the
-				// slot indices, so the draw stream is bit-identical to the
-				// uncompacted table's.
-				base := task * m.cols
-				nSup := int(at.supLen[task])
-				slots := at.slots[base : base+nSup]
-				for try := 0; try < budget; try++ {
-					u := rng.Float64() * float64(nSup)
-					j := int(u)
-					if j >= nSup { // unreachable for nSup < 2^52
-						j = nSup - 1
-					}
-					slot := slots[j]
-					col := int(slot.col)
-					if u-float64(j) >= slot.prob {
-						col = int(slot.alias)
-					}
-					if !s.masked[col] {
-						choice = col
-						break
-					}
-					s.stats.RejectTries++
-				}
-			}
-		} else if total := cdf.Row(task)[m.cols-1]; total > 1e-300 {
-			row := m.Row(task)
+		if at.total[task] > 1e-300 {
+			// Alias draws inlined: one uniform variate and at most two
+			// (adjacent-index) table reads per try. No row[j] > 0
+			// re-check — the alias table gives zero-weight columns no
+			// slot mass, so they are never drawn, and re-reading the row
+			// would cost an extra random access per try. The table is
+			// support-compacted: nSup live slots covering the row's
+			// nonzero columns, so converged rows draw from O(nnz) slots.
+			// For strictly positive rows nSup == cols and the slot
+			// columns are the slot indices, so the draw stream is
+			// bit-identical to the uncompacted table's.
+			base := task * m.cols
+			nSup := int(at.supLen[task])
+			slots := at.slots[base : base+nSup]
 			for try := 0; try < budget; try++ {
-				x := rng.Float64() * total
-				j := cdf.SearchRow(task, x)
-				if j < m.cols && !s.masked[j] && row[j] > 0 {
-					choice = j
+				u := rng.Float64() * float64(nSup)
+				j := int(u)
+				if j >= nSup { // unreachable for nSup < 2^52
+					j = nSup - 1
+				}
+				slot := slots[j]
+				col := int(slot.col)
+				if u-float64(j) >= slot.prob {
+					col = int(slot.alias)
+				}
+				if !s.masked[col] {
+					choice = col
 					break
 				}
 				s.stats.RejectTries++
@@ -755,9 +680,8 @@ func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, 
 			s.stats.FallbackDraws++
 			// Exact masked draw over the unassigned columns only: one
 			// pass for the remaining mass, then a second that stops at
-			// the first prefix sum exceeding x — the same column the
-			// prefix-table binary search would select, for the same
-			// variate, without its stores or its unpredictable probes.
+			// the first prefix sum exceeding x — the inverse-CDF draw
+			// over the unassigned columns, without a prefix table.
 			row := m.Row(task)
 			total := 0.0
 			for idx := 0; idx < k; idx++ {
@@ -792,9 +716,6 @@ func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, 
 		last := free[k]
 		free[freeIdx] = last
 		s.pos[last] = freeIdx
-		if onAssign != nil {
-			onAssign(task, choice)
-		}
 	}
 	return nil
 }

@@ -4,9 +4,9 @@
 // deterministic fault-injection simulator for the matchd job manager.
 //
 // The production kernels (cost.Evaluator, cost.StreamScorer, cost.State)
-// are heavily optimised — packed edge lists, fused sample-and-score,
-// gamma-pruned block scans, epoch-stamped swap deltas. Every one of them
-// promises the plain eqs. (1)–(2) semantics of the paper. This package
+// are heavily optimised — packed edge lists, gamma-pruned block scans,
+// epoch-stamped swap deltas. Every one of them promises the plain
+// eqs. (1)–(2) semantics of the paper. This package
 // re-derives those semantics as naively as possible and never shares
 // code with the optimised paths, so a bug in the clever code cannot hide
 // in the oracle too:

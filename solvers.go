@@ -211,11 +211,6 @@ type MaTCHOptions struct {
 	// Polish runs 2-swap local descent on the best mapping after the CE
 	// loop ends (hybrid extension; only applies to SolveMaTCH).
 	Polish bool
-	// UnprunedScoring disables the gamma-pruned fused scorer and scores
-	// every draw exactly. The search trajectory and result are identical
-	// either way (pruning is a pure strength reduction); the switch
-	// exists for benchmarking and as an escape hatch.
-	UnprunedScoring bool
 	// Multilevel, when non-nil, routes the solve through the multilevel
 	// coarsen/solve/refine pipeline — the large-n configuration. Such
 	// runs are not checkpointable and report per-level stats in
@@ -342,7 +337,6 @@ func coreOptions(opts MaTCHOptions) core.Options {
 		Seed:             opts.Seed,
 		WarmStart:        opts.WarmStart,
 		Polish:           opts.Polish,
-		UnprunedScoring:  opts.UnprunedScoring,
 		SparseEps:        opts.SparseEps,
 		SparseCut:        opts.SparseCut,
 		Context:          opts.Context,
