@@ -20,6 +20,12 @@
 //	       [-cluster-state DIR] [-cache 256] [-poll-interval 200ms]
 //	       [-checkpoint-every 5]
 //
+// The worker-only flags (-queue, -checkpoint-dir, -trace) are rejected
+// with -coordinator, and the coordinator-only ones (-cluster-state,
+// -poll-interval, -checkpoint-every) without it; the rest, -pprof
+// included, apply to both modes.
+//
+// Both modes are served by the same HTTP front door (package httpapi).
 // The coordinator serves the same job API (plus GET /v1/cluster and
 // POST /v1/cluster/drain), consistent-hash routes each submission's
 // content address to a worker, collapses identical concurrent
@@ -47,11 +53,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"syscall"
-	"time"
-
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"matchsim/internal/cluster"
 	"matchsim/internal/httpapi"
@@ -70,6 +76,29 @@ func splitWorkerURLs(s string) []string {
 		}
 	}
 	return urls
+}
+
+// Flags that configure only one mode: the local solver pool a
+// coordinator does not run, or the routing a worker does not do.
+var (
+	workerOnlyFlags      = []string{"queue", "checkpoint-dir", "trace"}
+	coordinatorOnlyFlags = []string{"cluster-state", "poll-interval", "checkpoint-every"}
+)
+
+// checkModeFlags rejects an explicitly set flag that the selected mode
+// would ignore, naming the flag.
+func checkModeFlags(fs *flag.FlagSet, coordinator bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case coordinator && slices.Contains(workerOnlyFlags, f.Name):
+			err = fmt.Errorf("-%s configures the local solver pool and cannot be used with -coordinator", f.Name)
+		case !coordinator && slices.Contains(coordinatorOnlyFlags, f.Name):
+			err = fmt.Errorf("-%s is a coordinator flag and needs -coordinator", f.Name)
+		}
+	})
+	return err
 }
 
 func main() {
@@ -101,6 +130,9 @@ func run(args []string, stdout io.Writer) error {
 		logLevel      = fs.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkModeFlags(fs, *coordinator); err != nil {
 		return err
 	}
 
@@ -154,82 +186,6 @@ func run(args []string, stdout io.Writer) error {
 		Log:      spanLog,
 	})
 
-	if *coordinator {
-		urls := splitWorkerURLs(*workers)
-		if len(urls) == 0 {
-			return fmt.Errorf("-coordinator requires -workers=<url>[,<url>...]")
-		}
-		co, err := cluster.New(cluster.Options{
-			Workers:         urls,
-			CacheCapacity:   *cache,
-			StateDir:        *clusterState,
-			CheckpointEvery: *ckptEvery,
-			PollInterval:    *pollInterval,
-			Tracer:          tracer,
-			Logger:          logger,
-		})
-		if err != nil {
-			return err
-		}
-		if restored, err := co.Restore(); err != nil {
-			logger.Warn("cluster restore failed", "error", err)
-		} else if restored > 0 {
-			logger.Info("re-attached journalled flights", "count", restored, "dir", *clusterState)
-		}
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "matchd listening on http://%s\n", ln.Addr())
-		server := &http.Server{Handler: cluster.NewServer(co)}
-		errCh := make(chan error, 1)
-		go func() { errCh <- server.Serve(ln) }()
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		select {
-		case <-ctx.Done():
-			logger.Info("signal received; draining", "timeout", *drainTimeout)
-		case err := <-errCh:
-			return err
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := server.Shutdown(drainCtx); err != nil {
-			logger.Warn("http shutdown", "error", err)
-		}
-		if err := co.Shutdown(drainCtx); err != nil {
-			return err
-		}
-		if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
-			return serveErr
-		}
-		logger.Info("drained cleanly")
-		return nil
-	}
-
-	solverWorkers := 0
-	if *workers != "" {
-		n, err := strconv.Atoi(*workers)
-		if err != nil || n < 0 {
-			return fmt.Errorf("invalid -workers %q (worker mode takes a job count)", *workers)
-		}
-		solverWorkers = n
-	}
-	manager := jobs.New(jobs.Options{
-		QueueCapacity: *queue,
-		Workers:       solverWorkers,
-		CacheCapacity: *cache,
-		CheckpointDir: *checkpointDir,
-		TraceWriter:   tw,
-		Tracer:        tracer,
-		Logger:        logger,
-	})
-	if restored, err := manager.Restore(); err != nil {
-		logger.Warn("restore failed", "error", err, "restored", restored)
-	} else if restored > 0 {
-		logger.Info("restored checkpointed jobs", "count", restored, "dir", *checkpointDir)
-	}
-
 	if *pprofAddr != "" {
 		// The profiler gets its own listener and mux so the job API's
 		// handler (and its auth posture) never exposes the debug
@@ -254,6 +210,61 @@ func run(args []string, stdout io.Writer) error {
 		defer pln.Close()
 	}
 
+	// The backend the HTTP front door serves; the drain sequence below
+	// is the same for both, apart from which Shutdown it calls.
+	var backend interface {
+		httpapi.Backend
+		Shutdown(context.Context) error
+	}
+	if *coordinator {
+		urls := splitWorkerURLs(*workers)
+		if len(urls) == 0 {
+			return fmt.Errorf("-coordinator requires -workers=<url>[,<url>...]")
+		}
+		co, err := cluster.New(cluster.Options{
+			Workers:         urls,
+			CacheCapacity:   *cache,
+			StateDir:        *clusterState,
+			CheckpointEvery: *ckptEvery,
+			PollInterval:    *pollInterval,
+			Tracer:          tracer,
+			Logger:          logger,
+		})
+		if err != nil {
+			return err
+		}
+		if restored, err := co.Restore(); err != nil {
+			logger.Warn("cluster restore failed", "error", err)
+		} else if restored > 0 {
+			logger.Info("re-attached journalled flights", "count", restored, "dir", *clusterState)
+		}
+		backend = co
+	} else {
+		solverWorkers := 0
+		if *workers != "" {
+			n, err := strconv.Atoi(*workers)
+			if err != nil || n < 0 {
+				return fmt.Errorf("invalid -workers %q (worker mode takes a job count)", *workers)
+			}
+			solverWorkers = n
+		}
+		manager := jobs.New(jobs.Options{
+			QueueCapacity: *queue,
+			Workers:       solverWorkers,
+			CacheCapacity: *cache,
+			CheckpointDir: *checkpointDir,
+			TraceWriter:   tw,
+			Tracer:        tracer,
+			Logger:        logger,
+		})
+		if restored, err := manager.Restore(); err != nil {
+			logger.Warn("restore failed", "error", err, "restored", restored)
+		} else if restored > 0 {
+			logger.Info("restored checkpointed jobs", "count", restored, "dir", *checkpointDir)
+		}
+		backend = manager
+	}
+
 	// Listen before announcing readiness so -listen :0 reports the real
 	// port. The announcement is a plain line, not a structured record: it
 	// is the daemon's readiness contract (the e2e tests parse it).
@@ -263,7 +274,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "matchd listening on http://%s\n", ln.Addr())
 
-	server := &http.Server{Handler: httpapi.New(manager)}
+	server := &http.Server{Handler: httpapi.New(backend)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.Serve(ln) }()
 
@@ -281,7 +292,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := server.Shutdown(drainCtx); err != nil {
 		logger.Warn("http shutdown", "error", err)
 	}
-	if err := manager.Shutdown(drainCtx); err != nil {
+	if err := backend.Shutdown(drainCtx); err != nil {
 		return err
 	}
 	if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -69,6 +70,47 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) (*exec.Cmd, stri
 	case <-time.After(30 * time.Second):
 		t.Fatal("matchd never announced its listen address")
 		return nil, ""
+	}
+}
+
+// TestModeFlags checks that a flag the selected mode would ignore is
+// rejected by name, and that the flag sets the benchmark and the e2e
+// tests pass stay valid. Valid sets carry an unusable -pprof address so
+// run stops at the profiler listener, which it opens in both modes,
+// before any backend starts.
+func TestModeFlags(t *testing.T) {
+	dir := t.TempDir()
+	traceFile := filepath.Join(dir, "events.jsonl")
+	coord := []string{"-coordinator", "-workers=http://127.0.0.1:1,http://127.0.0.1:2"}
+	badPprof := []string{"-pprof", "bad::addr"}
+	cases := []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"queue with coordinator", append(coord, "-queue", "8"), "-queue "},
+		{"checkpoint-dir with coordinator", append(coord, "-checkpoint-dir", dir), "-checkpoint-dir "},
+		{"trace with coordinator", append(coord, "-trace", traceFile), "-trace "},
+		{"cluster-state without coordinator", []string{"-cluster-state", dir}, "-cluster-state "},
+		{"poll-interval without coordinator", []string{"-poll-interval", "10ms"}, "-poll-interval "},
+		{"checkpoint-every without coordinator", []string{"-checkpoint-every", "1"}, "-checkpoint-every "},
+		{"explicit coordinator=false", []string{"-coordinator=false", "-cluster-state", dir}, "-cluster-state "},
+		{"benchmark worker", append([]string{"-listen", "127.0.0.1:0", "-node", "w"}, badPprof...), "pprof listen"},
+		{"sigterm worker", append([]string{"-checkpoint-dir", dir, "-workers", "1"}, badPprof...), "pprof listen"},
+		{"benchmark coordinator", append(append([]string{"-listen", "127.0.0.1:0", "-node", "c"}, coord...), badPprof...), "pprof listen"},
+		{"e2e coordinator", append(append([]string{"-cluster-state", dir, "-poll-interval", "10ms",
+			"-checkpoint-every", "1", "-node", "coordinator"}, coord...), badPprof...), "pprof listen"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(tc.args, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+	if _, err := os.Stat(traceFile); !os.IsNotExist(err) {
+		t.Errorf("rejected -trace still created %s (stat err %v)", traceFile, err)
 	}
 }
 

@@ -21,14 +21,11 @@ import (
 	"matchsim/internal/telemetry"
 )
 
-// Submission and lookup errors. The HTTP layer maps them to the same
-// statuses as the worker-side equivalents in package jobs.
-var (
-	ErrShuttingDown  = errors.New("cluster: coordinator shutting down")
-	ErrUnknownJob    = errors.New("cluster: unknown job id")
-	ErrNotDone       = errors.New("cluster: job has no result yet")
-	ErrUnknownWorker = errors.New("cluster: unknown worker")
-)
+// ErrUnknownWorker reports a drain of a worker the ring does not hold.
+// Submission and lookup failures return the jobs sentinels
+// (jobs.ErrShuttingDown, jobs.ErrUnknownJob, jobs.ErrNotDone), so the
+// HTTP layer maps both backends to the same statuses.
+var ErrUnknownWorker = errors.New("cluster: unknown worker")
 
 // Options tunes a Coordinator. Zero values take the documented defaults.
 type Options struct {
@@ -231,7 +228,7 @@ type Coordinator struct {
 
 // New builds a Coordinator over opts.Workers and starts its health
 // prober. Call Restore to re-attach journalled flights, then serve it
-// (package cluster's Server or direct method calls).
+// (httpapi.New, or direct method calls).
 func New(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	ring := NewRing(opts.Workers, opts.Replicas)
@@ -351,7 +348,7 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		return api.JobInfo{}, ErrShuttingDown
+		return api.JobInfo{}, jobs.ErrShuttingDown
 	}
 	j := &cjob{id: newCJobID(), key: key, solver: req.Solver, state: api.StateQueued, created: time.Now()}
 	for co.jobs[j.id] != nil {
@@ -516,7 +513,7 @@ func (co *Coordinator) Info(id string) (api.JobInfo, error) {
 	defer co.mu.Unlock()
 	j := co.jobs[id]
 	if j == nil {
-		return api.JobInfo{}, ErrUnknownJob
+		return api.JobInfo{}, jobs.ErrUnknownJob
 	}
 	return co.infoLocked(j), nil
 }
@@ -527,10 +524,10 @@ func (co *Coordinator) Result(id string) (api.JobResult, error) {
 	defer co.mu.Unlock()
 	j := co.jobs[id]
 	if j == nil {
-		return api.JobResult{}, ErrUnknownJob
+		return api.JobResult{}, jobs.ErrUnknownJob
 	}
 	if j.result == nil || j.state != api.StateDone {
-		return api.JobResult{}, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
+		return api.JobResult{}, fmt.Errorf("%w (state %s)", jobs.ErrNotDone, j.state)
 	}
 	return *j.result, nil
 }
@@ -543,7 +540,7 @@ func (co *Coordinator) Cancel(id string) (api.JobInfo, error) {
 	j := co.jobs[id]
 	if j == nil {
 		co.mu.Unlock()
-		return api.JobInfo{}, ErrUnknownJob
+		return api.JobInfo{}, jobs.ErrUnknownJob
 	}
 	if api.TerminalState(j.state) {
 		info := co.infoLocked(j)
@@ -572,7 +569,6 @@ func (co *Coordinator) Cancel(id string) (api.JobInfo, error) {
 	return info, nil
 }
 
-// Status assembles the topology document served at GET /v1/cluster.
 // CheckpointIters reports the iteration stamp of the freshest handoff
 // checkpoint held for the job's flight. Operators (and the failover
 // harness) use it to know a worker can be taken down without losing the
@@ -588,6 +584,7 @@ func (co *Coordinator) CheckpointIters(id string) (iters int, ok bool) {
 	return j.flight.checkpointIters, j.flight.checkpointIters > 0
 }
 
+// Status assembles the topology document served at GET /v1/cluster.
 func (co *Coordinator) Status() api.ClusterStatus {
 	co.mu.Lock()
 	defer co.mu.Unlock()

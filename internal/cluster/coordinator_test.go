@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
@@ -14,7 +13,6 @@ import (
 
 	"matchsim"
 	"matchsim/api"
-	"matchsim/client"
 	"matchsim/internal/httpapi"
 	"matchsim/internal/jobs"
 )
@@ -318,66 +316,6 @@ func TestCoordinatorCache(t *testing.T) {
 	}
 }
 
-// TestClusterServerBatch: the coordinator's batch route round-trips
-// per-item statuses — accepted jobs alongside per-item 400s — through
-// the public client.
-func TestClusterServerBatch(t *testing.T) {
-	ws := startWorkers(t, 2)
-	co := newTestCoordinator(t, ws, Options{CheckpointEvery: 1})
-	ts := httptest.NewServer(NewServer(co))
-	t.Cleanup(ts.Close)
-	c := client.New(ts.URL)
-	ctx := context.Background()
-
-	good := api.SubmitRequest{
-		Instance: instanceJSON(t, 2, 10),
-		Solver:   api.SolverMaTCH,
-		Options:  api.SolverOptions{Seed: 1, Workers: 2},
-	}
-	badSolver := good
-	badSolver.Solver = "no-such-solver"
-	badInstance := good
-	badInstance.Instance = json.RawMessage(`{"not":"an instance"}`)
-
-	resp, err := c.SubmitBatch(ctx, api.BatchSubmitRequest{
-		Jobs: []api.SubmitRequest{good, badSolver, badInstance},
-	})
-	if err != nil {
-		t.Fatalf("SubmitBatch: %v", err)
-	}
-	if len(resp.Items) != 3 {
-		t.Fatalf("batch returned %d items, want 3", len(resp.Items))
-	}
-	if resp.Items[0].Status != http.StatusAccepted || resp.Items[0].Info == nil {
-		t.Fatalf("good item: status %d info %v", resp.Items[0].Status, resp.Items[0].Info)
-	}
-	for i := 1; i <= 2; i++ {
-		it := resp.Items[i]
-		if it.Status != http.StatusBadRequest || it.Error == "" || it.Info != nil {
-			t.Fatalf("bad item %d: status %d error %q info %v", i, it.Status, it.Error, it.Info)
-		}
-	}
-	final, err := c.Wait(ctx, resp.Items[0].Info.ID, 2*time.Millisecond)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if final.State != api.StateDone {
-		t.Fatalf("batch job ended %q (error %q)", final.State, final.Error)
-	}
-	st, err := c.ClusterStatus(ctx)
-	if err != nil {
-		t.Fatalf("ClusterStatus: %v", err)
-	}
-	if len(st.Workers) != 2 {
-		t.Fatalf("cluster status lists %d workers, want 2", len(st.Workers))
-	}
-	for _, w := range st.Workers {
-		if !w.Up {
-			t.Fatalf("worker %s reported down", w.URL)
-		}
-	}
-}
-
 // TestCoordinatorRejectsBadSubmissions: validation failures are local
 // synchronous errors, never a spun-up flight.
 func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
@@ -385,10 +323,10 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 	co := newTestCoordinator(t, ws, Options{})
 
 	cases := []api.SubmitRequest{
-		{Solver: api.SolverMaTCH},                                       // no instance
-		{Instance: instanceJSON(t, 1, 8), Solver: "bogus"},              // unknown solver
-		{Instance: json.RawMessage(`{}`), Solver: api.SolverMaTCH},      // invalid instance
-		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverGA,          // checkpoint on a non-CE solver
+		{Solver: api.SolverMaTCH},                                  // no instance
+		{Instance: instanceJSON(t, 1, 8), Solver: "bogus"},         // unknown solver
+		{Instance: json.RawMessage(`{}`), Solver: api.SolverMaTCH}, // invalid instance
+		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverGA, // checkpoint on a non-CE solver
 			Checkpoint: json.RawMessage(`{"x":1}`)},
 	}
 	for i, req := range cases {

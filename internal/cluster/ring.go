@@ -7,11 +7,13 @@
 // checkpoints so a draining or dead worker's jobs resume on a surviving
 // node with their trace intact.
 //
-// The coordinator speaks the same HTTP/JSON job protocol as a standalone
-// matchd (package httpapi), so clients point at either interchangeably;
-// cluster-only routes (GET /v1/cluster, POST /v1/cluster/drain) expose
-// topology and drain control. Results routed through the coordinator are
-// bit-identical to a single-node solve of the same (spec, seed):
+// The coordinator is served by package httpapi, the same HTTP front door
+// as a standalone matchd, so clients point at either interchangeably;
+// httpapi mounts the cluster-only routes (GET /v1/cluster, POST
+// /v1/cluster/drain) for topology and drain control, and omits the
+// worker-only ones (SSE events, checkpoint export, island exchange).
+// Results routed through the coordinator are bit-identical to a
+// single-node solve of the same (spec, seed):
 // checkpoint export is pure observation, and the supervision fields ride
 // outside the options document the content address hashes.
 package cluster

@@ -1,5 +1,6 @@
-// Package httpapi exposes a jobs.Manager over HTTP/JSON — the serving
-// surface of the matchd daemon:
+// Package httpapi is the one HTTP/JSON front door of the matchd daemon.
+// It serves a Backend: a jobs.Manager on a worker daemon, or a
+// cluster.Coordinator on a coordinator. Routes:
 //
 //	POST   /v1/jobs             submit a job            → 202 JobInfo (200 on cache hit)
 //	POST   /v1/jobs:batch       submit many jobs        → 200 BatchSubmitResponse (per-item statuses)
@@ -10,11 +11,19 @@
 //	GET    /v1/jobs/{id}/events live progress (SSE)     → text/event-stream
 //	POST   /v1/islands/{session}/packets  island-exchange packet from a peer node → 204
 //	GET    /v1/islands/{session}          island session status     → 200
+//	GET    /v1/cluster          topology + routing status → 200 ClusterStatus
+//	POST   /v1/cluster/drain    drain a worker's solves   → 200 ClusterStatus
 //	GET    /v1/traces           recent trace summaries  → 200 [TraceSummary]
 //	GET    /v1/traces/{id}      one trace's span tree   → 200 TraceDoc
 //	GET    /healthz             liveness                → 200 {"status":"ok"}
 //	GET    /readyz              readiness checks        → 200/503 ReadyStatus
 //	GET    /metrics             Prometheus text format  → 200
+//
+// Every backend gets the job, trace, probe and metrics routes. The rest
+// are mounted when the backend's type has the methods behind them: a
+// jobs.Manager adds /checkpoint, /events and /v1/islands; a
+// cluster.Coordinator adds /v1/cluster and /v1/cluster/drain. A route a
+// backend does not mount is a 404.
 //
 // Every non-2xx response body is an api.Error document. The SSE stream
 // replays the job's event history, then follows it live (an optional
@@ -28,11 +37,11 @@
 // nodes running the peer islands, which file them on the local board for
 // their islands to consume.
 //
-// Tracing: when the manager carries a tracer, the middleware opens a
+// Tracing: when the backend carries a tracer, the middleware opens a
 // server span per request — continuing the trace named by an incoming
 // W3C `traceparent` header, or rooting a new one on routes that always
 // trace (job submission) — and puts it in the request context, where the
-// jobs layer parents the job's root span under it. Island packet posts
+// backend parents the job's root span under it. Island packet posts
 // carry the sending daemon's exchange-span traceparent, which is how one
 // trace ID ends up covering every cooperating node. /metrics honours an
 // `Accept: application/openmetrics-text` header (or `?exemplars=1`) by
@@ -45,6 +54,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -57,21 +67,60 @@ import (
 	"matchsim/internal/telemetry"
 )
 
-// Server adapts a jobs.Manager to net/http. Every route is wrapped in RED
-// middleware feeding the manager's telemetry registry: request count by
+// Backend is the service behind the HTTP surface. *jobs.Manager and
+// *cluster.Coordinator implement it. Errors are matched with errors.Is
+// against the jobs sentinels (ErrQueueFull, ErrShuttingDown,
+// ErrUnknownJob, ErrNotDone) to pick the response status.
+type Backend interface {
+	SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error)
+	Info(id string) (api.JobInfo, error)
+	Result(id string) (api.JobResult, error)
+	Cancel(id string) (api.JobInfo, error)
+	Readiness() (bool, []api.ReadyCheck)
+	Closed() bool
+	Registry() *telemetry.Registry
+	Tracer() *telemetry.Tracer
+	Logger() *slog.Logger
+}
+
+// The optional capabilities: New mounts a capability's routes only when
+// the backend implements it.
+type (
+	// checkpointer exports a job's resumable checkpoint (worker).
+	checkpointer interface {
+		Checkpoint(id string) (api.CheckpointDoc, error)
+	}
+	// subscriber streams a job's events (worker).
+	subscriber interface {
+		SubscribeFrom(id string, from int) (<-chan api.Event, func(), error)
+	}
+	// islandHost holds the board island-exchange packets are filed on
+	// (worker).
+	islandHost interface {
+		Board() *island.Board
+	}
+	// clusterHost reports topology and drains workers (coordinator).
+	clusterHost interface {
+		Status() api.ClusterStatus
+		DrainWorker(worker string) error
+	}
+)
+
+// Server adapts a Backend to net/http. Every route is wrapped in RED
+// middleware feeding the backend's telemetry registry: request count by
 // (route, method, code), error count, and a latency histogram per route
 // with trace-ID exemplars. Streaming routes (SSE) record time-to-first-
 // byte in the request-latency histogram — stream lifetime would poison
 // its p99 — and their full lifetime in a separate stream histogram.
 type Server struct {
-	manager *jobs.Manager
+	backend Backend
 	mux     *http.ServeMux
 	tracer  *telemetry.Tracer
 
 	requests      *telemetry.CounterVec
 	errors        *telemetry.CounterVec
 	latency       *telemetry.HistogramVec
-	streamSeconds *telemetry.HistogramVec
+	streamSeconds *telemetry.HistogramVec // nil unless an SSE route is mounted
 }
 
 // traceMode decides when the middleware opens a server span for a route.
@@ -97,14 +146,14 @@ type routeOpts struct {
 	streaming bool
 }
 
-// New builds the HTTP surface over m, instrumenting m.Registry() and
-// tracing with m.Tracer() (nil tracer = tracing off everywhere).
-func New(m *jobs.Manager) *Server {
-	reg := m.Registry()
+// New builds the HTTP surface over b, instrumenting b.Registry() and
+// tracing with b.Tracer() (nil tracer = tracing off everywhere).
+func New(b Backend) *Server {
+	reg := b.Registry()
 	s := &Server{
-		manager: m,
+		backend: b,
 		mux:     http.NewServeMux(),
-		tracer:  m.Tracer(),
+		tracer:  b.Tracer(),
 		requests: reg.CounterVec("matchd_http_requests_total",
 			"HTTP requests served, by route pattern, method and status code.",
 			"route", "method", "code"),
@@ -114,19 +163,29 @@ func New(m *jobs.Manager) *Server {
 		latency: reg.HistogramVec("matchd_http_request_seconds",
 			"HTTP request latency, by route pattern. Streaming routes record time-to-first-byte here; see matchd_http_stream_seconds for their lifetimes.",
 			telemetry.ExpBuckets(0.001, 4, 8), "route"),
-		streamSeconds: reg.HistogramVec("matchd_http_stream_seconds",
-			"Full lifetime of streaming (SSE) requests, by route pattern.",
-			telemetry.ExpBuckets(0.01, 4, 10), "route"),
 	}
 	s.handle("POST /v1/jobs", s.submit, routeOpts{trace: traceAlways})
 	s.handle("POST /v1/jobs:batch", s.submitBatch, routeOpts{trace: traceAlways})
 	s.handle("GET /v1/jobs/{id}", s.status, routeOpts{trace: traceOnHeader})
 	s.handle("GET /v1/jobs/{id}/result", s.result, routeOpts{trace: traceOnHeader})
-	s.handle("GET /v1/jobs/{id}/checkpoint", s.checkpoint, routeOpts{trace: traceOnHeader})
+	if c, ok := b.(checkpointer); ok {
+		s.handle("GET /v1/jobs/{id}/checkpoint", checkpoint(c), routeOpts{trace: traceOnHeader})
+	}
 	s.handle("DELETE /v1/jobs/{id}", s.cancel, routeOpts{trace: traceOnHeader})
-	s.handle("GET /v1/jobs/{id}/events", s.events, routeOpts{trace: traceOnHeader, streaming: true})
-	s.handle("POST /v1/islands/{session}/packets", s.islandPost, routeOpts{trace: traceOnHeader})
-	s.handle("GET /v1/islands/{session}", s.islandStatus, routeOpts{trace: traceOnHeader})
+	if sub, ok := b.(subscriber); ok {
+		s.streamSeconds = reg.HistogramVec("matchd_http_stream_seconds",
+			"Full lifetime of streaming (SSE) requests, by route pattern.",
+			telemetry.ExpBuckets(0.01, 4, 10), "route")
+		s.handle("GET /v1/jobs/{id}/events", events(sub), routeOpts{trace: traceOnHeader, streaming: true})
+	}
+	if ih, ok := b.(islandHost); ok {
+		s.handle("POST /v1/islands/{session}/packets", islandPost(ih), routeOpts{trace: traceOnHeader})
+		s.handle("GET /v1/islands/{session}", islandStatus(ih), routeOpts{trace: traceOnHeader})
+	}
+	if ch, ok := b.(clusterHost); ok {
+		s.handle("GET /v1/cluster", clusterStatus(ch), routeOpts{trace: traceOnHeader})
+		s.handle("POST /v1/cluster/drain", clusterDrain(ch), routeOpts{trace: traceOnHeader})
+	}
 	s.handle("GET /v1/traces", s.traces, routeOpts{trace: traceOff})
 	s.handle("GET /v1/traces/{id}", s.traceByID, routeOpts{trace: traceOff})
 	s.handle("GET /healthz", s.healthz, routeOpts{trace: traceOff})
@@ -139,7 +198,7 @@ func New(m *jobs.Manager) *Server {
 // middleware. The route label is the pattern itself — a bounded set,
 // immune to the path-cardinality explosion raw URLs would cause.
 func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
-	log := s.manager.Logger()
+	log := s.backend.Logger()
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
@@ -246,7 +305,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	info, err := s.manager.SubmitCtx(r.Context(), req)
+	info, err := s.backend.SubmitCtx(r.Context(), req)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShuttingDown):
 		w.Header().Set("Retry-After", "1")
@@ -282,7 +341,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := api.BatchSubmitResponse{Items: make([]api.BatchSubmitItem, len(req.Jobs))}
 	for i := range req.Jobs {
-		info, err := s.manager.SubmitCtx(r.Context(), req.Jobs[i])
+		info, err := s.backend.SubmitCtx(r.Context(), req.Jobs[i])
 		item := &resp.Items[i]
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShuttingDown):
@@ -302,7 +361,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	info, err := s.manager.Info(r.PathValue("id"))
+	info, err := s.backend.Info(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -311,7 +370,7 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
-	res, err := s.manager.Result(r.PathValue("id"))
+	res, err := s.backend.Result(r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
 		writeError(w, http.StatusNotFound, "%v", err)
@@ -326,25 +385,8 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// checkpoint serves a job's latest resumable checkpoint — the handoff
-// document a coordinator resubmits (SubmitRequest.Checkpoint) to resume
-// the job on another worker. 404 both for unknown jobs and for jobs that
-// have not exported one.
-func (s *Server) checkpoint(w http.ResponseWriter, r *http.Request) {
-	doc, err := s.manager.Checkpoint(r.PathValue("id"))
-	switch {
-	case errors.Is(err, jobs.ErrUnknownJob), errors.Is(err, jobs.ErrNoCheckpoint):
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
-	info, err := s.manager.Cancel(r.PathValue("id"))
+	info, err := s.backend.Cancel(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -352,54 +394,75 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
+// checkpoint serves a job's latest resumable checkpoint — the handoff
+// document a coordinator resubmits (SubmitRequest.Checkpoint) to resume
+// the job on another worker. 404 both for unknown jobs and for jobs that
+// have not exported one.
+func checkpoint(b checkpointer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		doc, err := b.Checkpoint(r.PathValue("id"))
+		switch {
+		case errors.Is(err, jobs.ErrUnknownJob), errors.Is(err, jobs.ErrNoCheckpoint):
+			writeError(w, http.StatusNotFound, "%v", err)
+			return
+		case err != nil:
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, doc)
+	}
+}
+
 // events streams a job's progress as server-sent events: the buffered
 // history first, then live events until the job ends or the client goes
 // away. Terminal jobs get their full history and an immediate close.
 // ?from=N skips the first N buffered events, resuming a dropped stream.
-func (s *Server) events(w http.ResponseWriter, r *http.Request) {
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "invalid from index %q", q)
+func events(b subscriber) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		from := 0
+		if q := r.URL.Query().Get("from"); q != "" {
+			n, err := strconv.Atoi(q)
+			if err != nil || n < 0 {
+				writeError(w, http.StatusBadRequest, "invalid from index %q", q)
+				return
+			}
+			from = n
+		}
+		ch, detach, err := b.SubscribeFrom(r.PathValue("id"), from)
+		if err != nil {
+			writeError(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		from = n
-	}
-	ch, detach, err := s.manager.SubscribeFrom(r.PathValue("id"), from)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer detach()
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
+		defer detach()
+		flusher, ok := w.(http.Flusher)
+		if !ok {
+			writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
 			return
-		case e, open := <-ch:
-			if !open {
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.Header().Set("Connection", "keep-alive")
+		w.WriteHeader(http.StatusOK)
+		flusher.Flush()
+
+		ctx := r.Context()
+		for {
+			select {
+			case <-ctx.Done():
 				return
+			case e, open := <-ch:
+				if !open {
+					return
+				}
+				data, err := json.Marshal(e)
+				if err != nil {
+					continue
+				}
+				if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data); err != nil {
+					return
+				}
+				flusher.Flush()
 			}
-			data, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data); err != nil {
-				return
-			}
-			flusher.Flush()
 		}
 	}
 }
@@ -408,28 +471,58 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 // node on the local board, where the islands of the shared session wait
 // for it. Malformed packets and count mismatches are 400s (the peer will
 // not succeed by retrying); an accepted packet is a 204.
-func (s *Server) islandPost(w http.ResponseWriter, r *http.Request) {
-	var req island.PostRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid packet body: %v", err)
-		return
+func islandPost(b islandHost) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req island.PostRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid packet body: %v", err)
+			return
+		}
+		if err := b.Board().Post(r.PathValue("session"), req.Count, req.Packet); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	}
-	if err := s.manager.Board().Post(r.PathValue("session"), req.Count, req.Packet); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // islandStatus reports an island session's exchange progress.
-func (s *Server) islandStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.manager.Board().Status(r.PathValue("session"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown island session %q", r.PathValue("session"))
-		return
+func islandStatus(b islandHost) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		st, ok := b.Board().Status(r.PathValue("session"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "unknown island session %q", r.PathValue("session"))
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
 	}
-	writeJSON(w, http.StatusOK, st)
+}
+
+// clusterStatus serves the coordinator's topology/routing document.
+func clusterStatus(b clusterHost) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, b.Status())
+	}
+}
+
+// clusterDrain hands a worker's in-flight solves off to the survivors
+// and stops routing to it until it answers health probes again. The
+// body names the worker ({"worker": "http://..."}).
+func clusterDrain(b clusterHost) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req api.ClusterDrainRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid drain body: %v", err)
+			return
+		}
+		if err := b.DrainWorker(req.Worker); err != nil {
+			writeError(w, http.StatusNotFound, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, b.Status())
+	}
 }
 
 // healthz is the liveness probe: the process is up and serving. It stays
@@ -437,7 +530,7 @@ func (s *Server) islandStatus(w http.ResponseWriter, r *http.Request) {
 // (/readyz) — and flips to 503 only during shutdown, when the listener
 // is about to go away.
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
-	if s.manager.Closed() {
+	if s.backend.Closed() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "shutting down"})
 		return
 	}
@@ -445,11 +538,12 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyz is the readiness probe: 200 with the individual check results
-// while the daemon can take work (queue accepting, checkpoint dir
-// writable, island board reachable), 503 with the failing checks
+// while the daemon can take work (a worker: queue accepting, checkpoint
+// dir writable, island board reachable; a coordinator: a live worker,
+// journal dir writable), 503 with the failing checks
 // otherwise — load balancers should stop routing, not restart.
 func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
-	ready, checks := s.manager.Readiness()
+	ready, checks := s.backend.Readiness()
 	doc := api.ReadyStatus{Status: "ready", Checks: checks}
 	status := http.StatusOK
 	if !ready {
@@ -496,12 +590,6 @@ func (s *Server) traceByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, buildTraceDoc(id, spans))
-}
-
-// BuildTraceDoc assembles a tracer's flat span records into the public
-// trace document; shared with the cluster coordinator's trace routes.
-func BuildTraceDoc(traceID string, spans []telemetry.SpanData) api.TraceDoc {
-	return buildTraceDoc(traceID, spans)
 }
 
 // buildTraceDoc assembles flat span records into nested trees. A span
@@ -564,7 +652,7 @@ func buildTraceDoc(traceID string, spans []telemetry.SpanData) api.TraceDoc {
 	return doc
 }
 
-// metrics renders the manager's telemetry registry — service gauges and
+// metrics renders the backend's telemetry registry — service gauges and
 // counters, solver internals, and the HTTP RED series — in the Prometheus
 // text exposition format (zero-dependency; see internal/telemetry). A
 // scraper that negotiates `Accept: application/openmetrics-text` (or
@@ -575,10 +663,10 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		r.URL.Query().Get("exemplars") == "1" {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_ = s.manager.Registry().WriteOpenMetrics(w)
+		_ = s.backend.Registry().WriteOpenMetrics(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.WriteHeader(http.StatusOK)
-	_ = s.manager.Registry().WritePrometheus(w)
+	_ = s.backend.Registry().WritePrometheus(w)
 }
