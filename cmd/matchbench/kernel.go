@@ -153,9 +153,9 @@ func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, c
 			_ = sink
 		}},
 		{"fused-sample-score-pruned", func(b *testing.B) {
-			// Same kernel with a tight gamma installed: most draws prove
-			// themselves over-threshold during the sweep's tail and skip
-			// the remaining blocks, bounding the per-draw saving the
+			// Same kernel with a tight gamma installed: each draw is
+			// scored task by task, heaviest tasks first, and most stop at
+			// the first load over gamma — bounding the per-draw saving the
 			// pruning threshold yields in a converged CE run.
 			b.ReportAllocs()
 			s := stochmat.NewSampler(n)

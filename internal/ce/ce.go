@@ -85,8 +85,8 @@ type SampleStats struct {
 	// every row).
 	RebuiltRows uint64
 	SkippedRows uint64
-	// SkippedEdges counts edge charges the gamma-pruned scorer never had
-	// to accumulate.
+	// SkippedEdges counts incident-list entries (two per TIG edge) the
+	// gamma-pruned scorer never visited.
 	SkippedEdges uint64
 }
 

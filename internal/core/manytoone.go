@@ -168,8 +168,8 @@ func (pr *manyToOneProblem) Copy(dst, src []int) { copy(dst, src) }
 // as one O(1) alias-table draw per task (one uniform variate each; no
 // search, no clamping: zero-weight columns carry no slot mass, and a
 // degenerate zero-mass row degrades to a uniform draw by the table's
-// construction), then score the mapping with one gamma-pruned edge-list
-// sweep (see the permutation problem's SampleScore).
+// construction), then score the mapping with the gamma-pruned
+// cost.StreamScorer.ScoreMapping.
 func (pr *manyToOneProblem) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
 	for task := 0; task < pr.tasks; task++ {
 		dst[task] = pr.alias.Sample(task, rng)

@@ -256,8 +256,7 @@ type problem struct {
 }
 
 // drawState is the per-goroutine scratch of SampleScore: the GenPerm
-// sampler and the gamma-pruning scorer that evaluates each finished draw
-// with a single edge-list sweep.
+// sampler and the gamma-pruning scorer that evaluates each finished draw.
 type drawState struct {
 	sampler *stochmat.Sampler
 	scorer  *cost.StreamScorer
@@ -361,9 +360,9 @@ func (pr *problem) TakeSampleStats() ce.SampleStats {
 }
 
 // SampleScore implements ce.Problem: one GenPerm draw through the alias
-// sampler, scored in place by a single gamma-pruned edge-list sweep
-// (cost.StreamScorer.ScoreMapping) — each TIG edge is touched exactly
-// once, and provably over-threshold draws return PrunedScore early.
+// sampler, scored in place by cost.StreamScorer.ScoreMapping — task by
+// task, heaviest first, returning PrunedScore at the first load over the
+// installed gamma (or one edge-list sweep while gamma is +Inf).
 // Sampling itself always runs to completion so the RNG stream is
 // identical with pruning on or off (see ce.GammaPruner).
 func (pr *problem) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {

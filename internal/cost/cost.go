@@ -21,8 +21,10 @@
 package cost
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"matchsim/internal/graph"
 )
@@ -87,12 +89,31 @@ type Evaluator struct {
 	// draw, so halving its footprint against graph.Edge's 24 bytes cuts
 	// the cache traffic of the hottest loop in the solver.
 	edges []packedEdge
+
+	// Per-task incident lists for StreamScorer's early-exit path, stored
+	// in visit order: the incident entries of task visit[k] are
+	// inc[incStart[k]:incStart[k+1]]. Heavy tasks come first, ranked by
+	// W^t plus the sum of incident C, so an over-threshold draw is caught
+	// after a few tasks. Within a task the entries keep edge-list order
+	// (not graph.TIG.Neighbors' neighbour-id order), so a task's load is
+	// summed in exactly the order the edge sweep adds its charges.
+	// incStart doubles as the prefix sum of entries visited.
+	visit    []int32
+	incStart []int32
+	inc      []incident
 }
 
 // packedEdge is Evaluator's cache-dense copy of a TIG edge.
 type packedEdge struct {
 	u, v int32
 	w    float64
+}
+
+// incident is one entry of a task's incident list: the far endpoint and
+// the edge weight C.
+type incident struct {
+	nb int32
+	w  float64
 }
 
 // NewEvaluator builds an evaluator after validating both graphs and the
@@ -132,7 +153,41 @@ func NewEvaluator(tig *graph.TIG, platform *graph.ResourceGraph) (*Evaluator, er
 	for _, edge := range tig.Edges() {
 		e.edges = append(e.edges, packedEdge{u: int32(edge.U), v: int32(edge.V), w: edge.Weight})
 	}
+	e.buildVisitOrder()
 	return e, nil
+}
+
+// buildVisitOrder fills visit, incStart and inc (see Evaluator).
+func (e *Evaluator) buildVisitOrder() {
+	deg := make([]int32, e.n)
+	rank := append([]float64(nil), e.tig.Weights...)
+	for _, edge := range e.edges {
+		deg[edge.u]++
+		deg[edge.v]++
+		rank[edge.u] += edge.w
+		rank[edge.v] += edge.w
+	}
+	e.visit = make([]int32, e.n)
+	for t := range e.visit {
+		e.visit[t] = int32(t)
+	}
+	slices.SortStableFunc(e.visit, func(a, b int32) int {
+		return cmp.Compare(rank[b], rank[a])
+	})
+	// next[t] is the slot task t's next incident entry goes to.
+	next := make([]int32, e.n)
+	e.incStart = make([]int32, e.n+1)
+	for k, t := range e.visit {
+		next[t] = e.incStart[k]
+		e.incStart[k+1] = e.incStart[k] + deg[t]
+	}
+	e.inc = make([]incident, 2*len(e.edges))
+	for _, edge := range e.edges {
+		e.inc[next[edge.u]] = incident{nb: edge.v, w: edge.w}
+		next[edge.u]++
+		e.inc[next[edge.v]] = incident{nb: edge.u, w: edge.w}
+		next[edge.v]++
+	}
 }
 
 // NumTasks returns |Vt|.
@@ -185,7 +240,9 @@ func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 		if su == sv {
 			continue
 		}
-		c := edge.w * e.link[su*e.r+sv]
+		// The conversion rounds the product, so no target may fuse it
+		// into the adds: ScoreMapping relies on these exact sums.
+		c := float64(edge.w * e.link[su*e.r+sv])
 		dst[su] += c
 		dst[sv] += c
 	}

@@ -3,33 +3,50 @@ package cost
 import "math"
 
 // StreamScorer evaluates the execution-time model of eqs. (1)-(2) for the
-// CE sample-and-score loop: ScoreMapping scores a freshly drawn mapping
-// with one sweep over the TIG edge list, optionally cutting the sweep
-// short once the draw provably cannot reach an installed elite threshold.
+// CE sample-and-score loop. ScoreMapping takes one of two exact paths:
+//
+//   - Task by task, when a finite gamma is installed and the mapping puts
+//     at most one task on each resource (a GenPerm draw once the CE loop
+//     has an elite threshold). Each resource's load is then one task's
+//     charges, so the scorer sums them in a register, visiting tasks
+//     heaviest first (Evaluator's static visit order), and stops at the
+//     first load over gamma.
+//   - One sweep over the TIG edge list otherwise: many-to-one mappings,
+//     and gamma = +Inf (the first CE iteration, an iteration after
+//     pruning over-fired, the rescue re-score), where nothing can prune
+//     and the sweep is the faster walk.
 //
 // A StreamScorer holds per-goroutine scratch state: create one per worker
 // (or pool them). Not safe for concurrent use.
 //
 // # Gamma pruning
 //
-// SetGamma installs an elite threshold. Loads only grow as charges
-// accumulate (every charge of the model is non-negative, and adding a
-// non-negative float never shrinks a rounded sum), so once the busiest
-// partial load exceeds gamma the final makespan must too: ScoreMapping
-// then returns PrunedScore instead of the true value. A pruned sample can
-// therefore never enter an elite set thresholded at gamma; callers that
-// need exact scores for pruned draws (the CE rescue path) re-score the
-// mapping with the threshold at +Inf, which disables pruning entirely.
+// SetGamma installs an elite threshold. A draw whose makespan exceeds
+// gamma can never enter an elite set thresholded at gamma, so
+// ScoreMapping returns PrunedScore instead of the true value; callers
+// that need exact scores for pruned draws (the CE rescue path) re-score
+// the mapping with the threshold at +Inf, which disables pruning. Both
+// paths prune exactly the draws whose makespan exceeds gamma and return
+// bit-identical scores for the rest.
+//
+// SkippedEdges is the telemetry unit of the saving: incident-list
+// entries (two per TIG edge, one at each endpoint) the task-by-task path
+// never visited because it exited early.
 type StreamScorer struct {
 	eval *Evaluator
 
-	// loads holds one accumulated load per resource.
+	// loads holds one accumulated load per resource (sweep path).
 	loads []float64
+	// mark[s] == stamp when resource s already hosts a task in the
+	// current one-task-per-resource check; bumping stamp clears every
+	// mark at once.
+	mark  []uint32
+	stamp uint32
 
 	// Gamma-pruning state. gamma is +Inf when pruning is disabled.
 	gamma float64
-	// skippedEdges is the edge-sweep work the last ScoreMapping call
-	// avoided by pruning — the per-draw saving the telemetry layer
+	// skippedEdges is the incident-list work the last ScoreMapping call
+	// avoided by exiting early — the per-draw saving the telemetry layer
 	// aggregates into a work-avoided counter.
 	skippedEdges int
 	pruned       bool
@@ -46,6 +63,7 @@ func NewStreamScorer(e *Evaluator) *StreamScorer {
 	return &StreamScorer{
 		eval:  e,
 		loads: make([]float64, e.r),
+		mark:  make([]uint32, e.r),
 		gamma: math.Inf(1),
 	}
 }
@@ -58,69 +76,103 @@ func (ss *StreamScorer) SetGamma(gamma float64) { ss.gamma = gamma }
 // gamma threshold.
 func (ss *StreamScorer) Pruned() bool { return ss.pruned }
 
-// SkippedEdges reports how many edge charges the last ScoreMapping call
-// skipped thanks to gamma pruning (0 for unpruned draws and for draws
-// pruned only by the final check).
+// SkippedEdges reports how many incident-list entries (two per TIG edge)
+// the last ScoreMapping call never visited thanks to its early exit: 0
+// for unpruned draws and for draws scored by the edge sweep.
 func (ss *StreamScorer) SkippedEdges() int { return ss.skippedEdges }
 
-// ScoreMapping scores a complete mapping in one pass: compute charges in
-// task order, then a single sweep over the edge list, touching each edge
-// once. The sweep does the same floating-point additions as
-// Evaluator.Loads in the same order (co-located edges add an exact 0.0
-// through the link diagonal instead of branching), so with pruning off
-// the result is bit-identical to ExecInto on every instance.
-//
-// The installed gamma threshold prunes the sweep at block granularity:
-// after every pruneBlockEdges edges the current busiest load is scanned,
-// and since loads only grow, a scan exceeding gamma proves the final
-// makespan does — PrunedScore is returned and the remaining blocks are
-// skipped. Every over-threshold mapping is caught (the last scan sees the
-// final loads), the per-edge loop body carries no extra compare, and the
-// accumulation is identical with pruning on or off.
+// ScoreMapping scores a complete mapping m (task t on resource m[t]),
+// returning its makespan, or PrunedScore when it exceeds the installed
+// gamma. The result is bit-identical to ExecInto whenever it is not
+// pruned, on either path (see the type comment).
 func (ss *StreamScorer) ScoreMapping(m []int) float64 {
+	ss.pruned = false
+	ss.skippedEdges = 0
+	if !math.IsInf(ss.gamma, 1) && ss.oneTaskPerResource(m) {
+		return ss.scoreByTask(m)
+	}
+	return ss.sweep(m)
+}
+
+// oneTaskPerResource reports whether m assigns every task and puts at
+// most one of them on each resource.
+func (ss *StreamScorer) oneTaskPerResource(m []int) bool {
+	if len(m) != ss.eval.n {
+		return false
+	}
+	ss.stamp++
+	if ss.stamp == 0 { // wrapped: stale marks could match again
+		clear(ss.mark)
+		ss.stamp = 1
+	}
+	stamp, mark := ss.stamp, ss.mark
+	for _, s := range m {
+		if mark[s] == stamp {
+			return false
+		}
+		mark[s] = stamp
+	}
+	return true
+}
+
+// scoreByTask is the early-exit path. With one task per resource,
+// resource m[t] is charged exactly task t's processing time and then its
+// incident edges' communication charges in edge-list order — the same
+// additions, in the same order, as the sweep (link is symmetric, so the
+// charge seen from either endpoint is the same product). Every load is
+// complete when compared, so the first load over gamma proves the draw
+// over threshold.
+func (ss *StreamScorer) scoreByTask(m []int) float64 {
+	e := ss.eval
+	r := e.r
+	start := e.incStart
+	gamma := ss.gamma
+	maxLoad := 0.0
+	for k, t := range e.visit {
+		s := m[t]
+		load := taskLoad(e.tcp[int(t)*r+s], e.inc[start[k]:start[k+1]], e.link[s*r:s*r+r], m)
+		if load > gamma {
+			ss.pruned = true
+			ss.skippedEdges = len(e.inc) - int(start[k+1])
+			return PrunedScore
+		}
+		maxLoad = max(maxLoad, load)
+	}
+	return maxLoad
+}
+
+// taskLoad adds one task's communication charges to its processing time
+// load: row is the link-cost row of the task's resource. Kept as its own
+// (inlined) function, the loop holds its few operands in registers
+// instead of spilling scoreByTask's.
+func taskLoad(load float64, list []incident, row []float64, m []int) float64 {
+	for _, a := range list {
+		load += float64(a.w * row[m[a.nb]])
+	}
+	return load
+}
+
+// sweep scores m with compute charges in task order, then one pass over
+// the edge list, touching each edge once. It does the same floating-point
+// additions as Evaluator.Loads in the same order (co-located edges add an
+// exact 0.0 through the link diagonal instead of branching), so its
+// makespan is bit-identical to ExecInto on every instance.
+func (ss *StreamScorer) sweep(m []int) float64 {
 	e := ss.eval
 	loads := ss.loads
 	for i := range loads {
 		loads[i] = 0
 	}
-	ss.pruned = false
-	ss.skippedEdges = 0
 	r := e.r
 	for t, s := range m {
 		loads[s] += e.tcp[t*r+s]
 	}
-	gamma := ss.gamma
 	link := e.link
-	edges := e.edges
-	// Scans only make sense once enough charge has accumulated for a
-	// crossing to be provable: on near-threshold draws (the common case —
-	// gamma is an elite quantile of the same distribution) loads grow
-	// roughly linearly, so crossings cluster in the sweep's tail.
-	scanFrom := len(edges) - len(edges)/4
-	if math.IsInf(gamma, 1) {
-		scanFrom = len(edges) // never scan mid-sweep
-	}
-	for base := 0; base < len(edges); {
-		end := base + pruneBlockEdges
-		if end > len(edges) {
-			end = len(edges)
-		}
-		for _, edge := range edges[base:end] {
-			su, sv := m[edge.u], m[edge.v]
-			// Co-located: the link diagonal is zero, so both adds are
-			// exact no-ops — same sums as the branchy formulation.
-			c := edge.w * link[su*r+sv]
-			loads[su] += c
-			loads[sv] += c
-		}
-		base = end
-		if base >= scanFrom && base < len(edges) {
-			if maxLoads(loads) > gamma {
-				ss.pruned = true
-				ss.skippedEdges = len(edges) - base
-				return PrunedScore
-			}
-		}
+	for _, edge := range e.edges {
+		su, sv := m[edge.u], m[edge.v]
+		c := float64(edge.w * link[su*r+sv])
+		loads[su] += c
+		loads[sv] += c
 	}
 	maxLoad := maxLoads(loads)
 	if ss.gamma < maxLoad { // false when gamma is +Inf
@@ -129,12 +181,6 @@ func (ss *StreamScorer) ScoreMapping(m []int) float64 {
 	}
 	return maxLoad
 }
-
-// pruneBlockEdges is ScoreMapping's gamma-check granularity: edges per
-// block between busiest-load scans. Large enough that the O(|Vr|) scans
-// add only a few percent to the sweep, small enough that a crossing near
-// the end of the walk still skips some tail work.
-const pruneBlockEdges = 256
 
 // maxLoads is a branch-free four-lane max reduction: the builtin max
 // lowers to hardware max instructions, and four accumulators break the

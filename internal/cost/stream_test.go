@@ -234,6 +234,10 @@ func BenchmarkExecAfterSwap(b *testing.B) {
 	})
 }
 
+// BenchmarkStreamScore64 scores a fixed draw pool at n = 64 on each path:
+// "sweep" with gamma = +Inf (the edge-list sweep), "by-task-unpruned"
+// with a finite gamma no draw exceeds (the early-exit path walking every
+// task), and "by-task-pruned" with gamma at the pool's median score.
 func BenchmarkStreamScore64(b *testing.B) {
 	inst, err := gen.PaperInstance(2005, 64, gen.DefaultPaperConfig())
 	if err != nil {
@@ -244,13 +248,34 @@ func BenchmarkStreamScore64(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := xrand.New(1)
-	m := randomPermutation(rng, 64)
-	ss := NewStreamScorer(e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss.ScoreMapping(m)
+	pool := make([]Mapping, 256)
+	scores := make([]float64, len(pool))
+	for i := range pool {
+		pool[i] = randomPermutation(rng, 64)
+		scores[i] = e.Exec(pool[i])
+	}
+	sort.Float64s(scores)
+	for _, c := range []struct {
+		name  string
+		gamma float64
+	}{
+		{"sweep", math.Inf(1)},
+		{"by-task-unpruned", math.MaxFloat64},
+		{"by-task-pruned", scores[len(scores)/2]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ss := NewStreamScorer(e)
+			ss.SetGamma(c.gamma)
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += ss.ScoreMapping(pool[i%len(pool)])
+			}
+			benchSink = sink
+		})
 	}
 }
+
+var benchSink float64
 
 // TestScoreMappingBitIdenticalToExec: the edge-list sweep performs the
 // same float64 additions in the same order as Evaluator.Loads (co-located
@@ -368,5 +393,148 @@ func TestScoreMappingPrunedScoresStayExactOnRescore(t *testing.T) {
 		if got := ss.ScoreMapping(m); got != want {
 			t.Fatalf("trial %d: rescore %v != exact %v", trial, got, want)
 		}
+	}
+}
+
+// TestScoreMappingByTaskOrderSensitive: the task-by-task path must add a
+// task's charges in edge-list order, not neighbour-id order. Task 0's
+// edges carry 1e16 beside 1.0 and are inserted out of id order, so the
+// two orders round to different loads; with a finite gamma above the
+// makespan, ScoreMapping must still match ExecInto bit for bit on every
+// permutation.
+func TestScoreMappingByTaskOrderSensitive(t *testing.T) {
+	tig := graph.NewTIGWithWeights([]float64{1, 1, 1, 1})
+	tig.MustAddEdge(0, 3, 1)
+	tig.MustAddEdge(0, 1, 1e16)
+	tig.MustAddEdge(2, 1, 1)
+	tig.MustAddEdge(0, 2, 1)
+	rg := graph.NewResourceGraphWithCosts([]float64{1, 1, 1, 1})
+	for a := 0; a < 4; a++ {
+		for b := a + 1; b < 4; b++ {
+			rg.MustAddLink(a, b, 1)
+		}
+	}
+	e, err := NewEvaluator(tig, rg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The instance really is order-sensitive: summing task 0's charges
+	// in neighbour-id order gives a different float than the edge list.
+	m := Identity(4)
+	byID := e.ComputeTime(0, 0)
+	for _, nb := range tig.Neighbors(0) {
+		byID += nb.Weight * rg.LinkCost(0, nb.To)
+	}
+	if loads := e.Loads(m, nil); byID == loads[0] {
+		t.Fatalf("neighbour-id order sums to the edge-list load %v; the test needs an order-sensitive instance", byID)
+	}
+
+	ss := NewStreamScorer(e)
+	scratch := make([]float64, 4)
+	var perm func(k int)
+	perm = func(k int) {
+		if k == len(m) {
+			want := e.ExecInto(m, scratch)
+			ss.SetGamma(2 * want)
+			if got := ss.ScoreMapping(m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mapping %v: by-task score %v != ExecInto %v", m, got, want)
+			}
+			return
+		}
+		for i := k; i < len(m); i++ {
+			m[k], m[i] = m[i], m[k]
+			perm(k + 1)
+			m[k], m[i] = m[i], m[k]
+		}
+	}
+	perm(0)
+}
+
+// TestScoreMappingByTaskShuffledEdges: on float-weight instances whose
+// edges are inserted in shuffled order, the task-by-task path (finite
+// gamma) must return ExecInto's bits for every draw at or under gamma
+// and prune exactly the draws over it.
+func TestScoreMappingByTaskShuffledEdges(t *testing.T) {
+	rng := xrand.New(44)
+	for _, n := range []int{5, 16, 48} {
+		src := randomFloatInstance(t, rng, n, n)
+		edges := src.TIG().Edges()
+		shuffled := make([]int, len(edges))
+		rng.PermInto(shuffled)
+		tig := graph.NewTIGWithWeights(src.TIG().Weights)
+		for _, i := range shuffled {
+			ed := edges[i]
+			if ed.U < ed.V && rng.Bool(0.5) {
+				ed.U, ed.V = ed.V, ed.U
+			}
+			tig.MustAddEdge(ed.U, ed.V, ed.Weight)
+		}
+		e, err := NewEvaluator(tig, src.Platform())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := NewStreamScorer(e)
+		scratch := make([]float64, n)
+		for trial := 0; trial < 200; trial++ {
+			m := randomPermutation(rng, n)
+			want := e.ExecInto(m, scratch)
+			gamma := want * (0.9 + 0.2*rng.Float64())
+			ss.SetGamma(gamma)
+			got := ss.ScoreMapping(m)
+			if want > gamma {
+				if got != PrunedScore || !ss.Pruned() {
+					t.Fatalf("n=%d trial %d: exec %v > gamma %v not pruned (got %v)", n, trial, want, gamma, got)
+				}
+				continue
+			}
+			if math.Float64bits(got) != math.Float64bits(want) || ss.Pruned() {
+				t.Fatalf("n=%d trial %d: by-task score %v (pruned %v) != ExecInto %v", n, trial, got, ss.Pruned(), want)
+			}
+		}
+	}
+}
+
+// TestScoreMappingSkippedEdges: a pruned draw reports as skipped exactly
+// the incident-list entries (degrees) of the tasks after the first one,
+// in heavy-first order, whose load exceeds gamma; unpruned draws report
+// none. The expectation is rebuilt from Evaluator.Loads and the graph's
+// degrees, independent of the scorer's prefix sums.
+func TestScoreMappingSkippedEdges(t *testing.T) {
+	rng := xrand.New(45)
+	e := randomFloatInstance(t, rng, 32, 32)
+	tig := e.TIG()
+	rank := func(t int) float64 { return tig.Weights[t] + tig.WeightedDegree(t) }
+	order := make([]int, 32)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return rank(order[a]) > rank(order[b]) })
+
+	ss := NewStreamScorer(e)
+	sawSkip := false
+	for trial := 0; trial < 300; trial++ {
+		m := randomPermutation(rng, 32)
+		loads := e.Loads(m, nil)
+		exec := e.Exec(m)
+		gamma := exec * (0.5 + 0.6*rng.Float64())
+		ss.SetGamma(gamma)
+		ss.ScoreMapping(m)
+		want := 0
+		if exec > gamma {
+			k := 0
+			for loads[m[order[k]]] <= gamma {
+				k++
+			}
+			for _, t := range order[k+1:] {
+				want += tig.Degree(t)
+			}
+		}
+		if got := ss.SkippedEdges(); got != want {
+			t.Fatalf("trial %d: SkippedEdges %d, want %d", trial, got, want)
+		}
+		sawSkip = sawSkip || want > 0
+	}
+	if !sawSkip {
+		t.Fatal("no draw skipped any entry; the test exercised nothing")
 	}
 }

@@ -238,7 +238,7 @@ func newManagerMetrics(reg *telemetry.Registry) *managerMetrics {
 		rescored:      reg.Counter("matchd_solver_rescored_draws_total", "Pruned draws re-scored exactly by the rescue path."),
 		rejectTries:   reg.Counter("matchd_solver_reject_tries_total", "GenPerm rejection-sampling misses."),
 		fallbackDraws: reg.Counter("matchd_solver_fallback_draws_total", "GenPerm draws resolved through the compact fallback."),
-		skippedEdges:  reg.Counter("matchd_solver_skipped_edges_total", "TIG edges the gamma-pruned scorer never accumulated."),
+		skippedEdges:  reg.Counter("matchd_solver_skipped_edges_total", "Incident-list entries (two per TIG edge) the gamma-pruned scorer never visited."),
 		rebuiltRows:   reg.Counter("matchd_solver_rebuilt_rows_total", "Sampling-table rows rebuilt by distribution updates."),
 		skippedRows:   reg.Counter("matchd_solver_skipped_rows_total", "Sampling-table row rebuilds skipped because the row was unchanged."),
 		stealUnits:    reg.Counter("matchd_solver_steal_units_total", "Sampling work units claimed beyond an even per-worker share."),

@@ -127,8 +127,10 @@ type Config struct {
 	// Finer spacing means more points: heavier compute and overlaps.
 	SpacingLo, SpacingHi float64
 	// ExtraOverlap stretches every grid towards its successor on the
-	// body path by this fraction, guaranteeing a connected overlap chain;
-	// default 0.35.
+	// body path by this fraction past the midpoint; default 0.35. A grid
+	// the stretch leaves short of its successor (jitter can put the
+	// successor far enough away) is stretched on to the successor's
+	// centre, so the overlap chain is always connected.
 	ExtraOverlap float64
 }
 
@@ -210,6 +212,20 @@ func Generate(seed uint64, cfg Config) (*System, error) {
 			Box:     box,
 			Spacing: rng.Float64Range(cfg.SpacingLo, cfg.SpacingHi),
 		})
+	}
+	if n > 1 {
+		// Close any gap the stretch left. The successor's box holds a
+		// cube of positive side around its centre, so a box reaching
+		// that centre overlaps it with positive volume (hence at least
+		// one lattice point each side); boxes only grow here, so no
+		// overlap found earlier is lost.
+		for i := range sys.Grids {
+			next := (i + 1) % n
+			if _, ok := sys.Grids[i].Box.Intersect(sys.Grids[next].Box); !ok {
+				c := centers[next]
+				sys.Grids[i].Box = sys.Grids[i].Box.Union(Box{Lo: c, Hi: c})
+			}
+		}
 	}
 	return sys, nil
 }

@@ -120,6 +120,49 @@ func TestGenerateProducesConnectedTIG(t *testing.T) {
 	}
 }
 
+// TestGenerateJitteredChainStaysConnected is a regression input for the
+// property test: jitter pushes grid 1 far enough from grid 0 (and grid 3
+// from grid 2) that the default stretch stops short of the successor's
+// box, which left two disconnected pairs before Generate closed the gap.
+func TestGenerateJitteredChainStaysConnected(t *testing.T) {
+	sys, err := Generate(0x2abc834c9c639c92, Config{NumGrids: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sys.Grids {
+		next := (i + 1) % len(sys.Grids)
+		if _, ok := sys.Grids[i].Box.Intersect(sys.Grids[next].Box); !ok {
+			t.Errorf("grid %d does not overlap its successor %d", i, next)
+		}
+	}
+	tig, err := sys.TIG(0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tig.IsConnected() {
+		t.Fatal("disconnected overset TIG")
+	}
+}
+
+// TestGenerateChainOverlapsAcrossSeeds: every grid overlaps its
+// successor on the ring for a fixed sweep of seeds and sizes, so the
+// connectivity claim does not rest on the property test's random draws.
+func TestGenerateChainOverlapsAcrossSeeds(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		for _, n := range []int{2, 3, 4, 7, 41} {
+			sys, err := Generate(seed, Config{NumGrids: n})
+			if err != nil {
+				t.Fatalf("seed %d n=%d: %v", seed, n, err)
+			}
+			for i := range sys.Grids {
+				if _, ok := sys.Grids[i].Box.Intersect(sys.Grids[(i+1)%n].Box); !ok {
+					t.Fatalf("seed %d n=%d: grid %d misses its successor", seed, n, i)
+				}
+			}
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(7, Config{NumGrids: 12})
 	if err != nil {

@@ -54,9 +54,10 @@ type Event struct {
 	// Solver internals (CE iterations; zero elsewhere). Draws is the
 	// samples drawn; Pruned/Rescored count gamma-pruned draws and the
 	// rescue re-scores; RejectTries/FallbackDraws are GenPerm sampler
-	// counters; SkippedEdges counts TIG edges the pruned scorer never
-	// touched; SampleNs/SelectNs/UpdateNs are phase timings; StealUnits
-	// and IdleNs describe the worker pool's barrier behaviour.
+	// counters; SkippedEdges counts incident-list entries (two per TIG
+	// edge) the pruned scorer never visited; SampleNs/SelectNs/UpdateNs
+	// are phase timings; StealUnits and IdleNs describe the worker pool's
+	// barrier behaviour.
 	Draws         int    `json:"draws,omitempty"`
 	Pruned        int    `json:"pruned,omitempty"`
 	Rescored      int    `json:"rescored,omitempty"`

@@ -1,17 +1,21 @@
 package verify
 
 import (
-	"math"
 	"testing"
 
 	"matchsim/internal/cost"
+	"matchsim/internal/graph"
+	"matchsim/internal/xrand"
 )
 
 // FuzzScoreMapping is the differential fuzz target: for a fuzzer-chosen
 // instance, mapping and gamma, the optimised gamma-pruned streaming
 // scorer must agree with the naive eqs. (1)-(2) oracle — bit-identically
-// when it scores, and truthfully (exec really is above gamma) when it
-// prunes.
+// when it scores, and it must prune exactly the draws whose oracle exec
+// is above gamma. Three arms share each input: the paper instance under
+// a permutation, a float-weight instance whose TIG edges were inserted
+// in shuffled order (the task-by-task path must keep edge-list order),
+// and a many-to-one mapping onto fewer resources than tasks (the sweep).
 func FuzzScoreMapping(f *testing.F) {
 	f.Add(uint64(1), 8, int64(1000), []byte{0})
 	f.Add(uint64(7), 4, int64(500), []byte{3, 1, 2, 0})
@@ -20,7 +24,14 @@ func FuzzScoreMapping(f *testing.F) {
 	f.Add(uint64(99), 16, int64(990), []byte{9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, seed uint64, n int, gammaMilli int64, permBytes []byte) {
 		n = 1 + (abs(n) % 32) // clamp to the supported band
-		tig, platform, eval := paperInstance(t, seed, n)
+		// gammaMilli in [0, 2000] sweeps gamma from 0 to 2x the true exec.
+		factor := float64(abs64(gammaMilli)%2001) / 1000
+		pick := func(i, mod int) int {
+			if len(permBytes) == 0 {
+				return 0
+			}
+			return int(permBytes[i%len(permBytes)]) % mod
+		}
 
 		// Lehmer-style decode: permBytes picks from the shrinking free
 		// list, so every byte string maps to a valid permutation.
@@ -30,39 +41,80 @@ func FuzzScoreMapping(f *testing.F) {
 		}
 		m := make([]int, n)
 		for tsk := 0; tsk < n; tsk++ {
-			pick := 0
-			if len(permBytes) > 0 {
-				pick = int(permBytes[tsk%len(permBytes)]) % len(free)
-			}
-			m[tsk] = free[pick]
-			free = append(free[:pick], free[pick+1:]...)
+			p := pick(tsk, len(free))
+			m[tsk] = free[p]
+			free = append(free[:p], free[p+1:]...)
 		}
 		if err := CheckPermutation(m); err != nil {
 			t.Fatalf("decoder emitted an invalid mapping: %v", err)
 		}
 
-		refExec, err := RefExec(tig, platform, m)
-		if err != nil {
-			t.Fatalf("RefExec: %v", err)
-		}
-		ss := cost.NewStreamScorer(eval)
-		if got := ss.ScoreMapping(m); math.Float64bits(got) != math.Float64bits(refExec) {
-			t.Fatalf("unpruned ScoreMapping %v != oracle %v (n=%d seed=%d m=%v)", got, refExec, n, seed, m)
-		}
+		tig, platform, eval := paperInstance(t, seed, n)
+		checkScoreMapping(t, "paper", tig, platform, eval, m, factor)
 
-		// gammaMilli in [0, 2000] sweeps gamma from 0 to 2x the true exec.
-		factor := float64(abs64(gammaMilli)%2001) / 1000
-		gamma := refExec * factor
-		ss.SetGamma(gamma)
-		switch got := ss.ScoreMapping(m); {
-		case got == cost.PrunedScore:
-			if refExec <= gamma {
-				t.Fatalf("pruned at gamma=%v but oracle exec %v <= gamma (n=%d seed=%d m=%v)", gamma, refExec, n, seed, m)
+		ftig, fplatform, _ := floatInstance(t, seed, n)
+		stig := shuffledEdges(ftig, xrand.New(seed^0x5eed))
+		seval, err := cost.NewEvaluator(stig, fplatform)
+		if err != nil {
+			t.Fatalf("NewEvaluator (shuffled): %v", err)
+		}
+		checkScoreMapping(t, "shuffled-edges", stig, fplatform, seval, m, factor)
+
+		if n >= 2 {
+			r := (n + 1) / 2
+			_, small, _ := paperInstance(t, seed+1, r)
+			meval, err := cost.NewEvaluator(tig, small)
+			if err != nil {
+				t.Fatalf("NewEvaluator (many-to-one): %v", err)
 			}
-		case math.Float64bits(got) != math.Float64bits(refExec):
-			t.Fatalf("pruned-arm ScoreMapping %v != oracle %v at gamma=%v (n=%d seed=%d m=%v)", got, refExec, gamma, n, seed, m)
+			many := make([]int, n)
+			for tsk := range many {
+				many[tsk] = (tsk + pick(tsk, r)) % r
+			}
+			checkScoreMapping(t, "many-to-one", tig, small, meval, many, factor)
 		}
 	})
+}
+
+// checkScoreMapping scores m unpruned and at gamma = factor x oracle
+// exec, requiring the oracle's bits when the scorer scores and pruned
+// exactly when the oracle exec is above gamma.
+func checkScoreMapping(t *testing.T, arm string, tig *graph.TIG, platform *graph.ResourceGraph, eval *cost.Evaluator, m []int, factor float64) {
+	t.Helper()
+	refExec, err := RefExec(tig, platform, m)
+	if err != nil {
+		t.Fatalf("%s: RefExec: %v", arm, err)
+	}
+	ss := cost.NewStreamScorer(eval)
+	if got := ss.ScoreMapping(m); !sameBits(got, refExec) {
+		t.Fatalf("%s: unpruned ScoreMapping %v != oracle %v (m=%v)", arm, got, refExec, m)
+	}
+	gamma := refExec * factor
+	ss.SetGamma(gamma)
+	got := ss.ScoreMapping(m)
+	if want := refExec > gamma; ss.Pruned() != want || (got == cost.PrunedScore) != want {
+		t.Fatalf("%s: at gamma=%v pruned=%v (score %v), oracle exec %v (m=%v)", arm, gamma, ss.Pruned(), got, refExec, m)
+	}
+	if !ss.Pruned() && !sameBits(got, refExec) {
+		t.Fatalf("%s: ScoreMapping %v != oracle %v at gamma=%v (m=%v)", arm, got, refExec, gamma, m)
+	}
+}
+
+// shuffledEdges returns a copy of tig whose edges were inserted in an
+// rng-chosen order, each with a coin-flipped endpoint order.
+func shuffledEdges(tig *graph.TIG, rng *xrand.RNG) *graph.TIG {
+	edges := tig.Edges()
+	order := make([]int, len(edges))
+	rng.PermInto(order)
+	out := graph.NewTIGWithWeights(tig.Weights)
+	for _, i := range order {
+		u, v := edges[i].U, edges[i].V
+		if rng.Bool(0.5) {
+			u, v = v, u
+		}
+		out.MustAddEdge(u, v, edges[i].Weight)
+	}
+	return out
 }
 
 func abs(v int) int {

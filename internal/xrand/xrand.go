@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // RNG is a xoshiro256** generator. The zero value is NOT valid; construct
@@ -147,27 +148,15 @@ func (r *RNG) Intn(n int) int {
 	}
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := (-bound) % bound
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 computes the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // IntRange returns a uniform integer in the inclusive range [lo, hi].

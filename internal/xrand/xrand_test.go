@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -413,6 +414,22 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	}
 }
 
+// portableMul64 is the 32-bit-limb 128-bit product Intn used before it
+// switched to bits.Mul64; it stays here as the reference that pins Intn's
+// streams.
+func portableMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64: the portable reference and bits.Mul64 agree on the edge
+// cases and on random operands.
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64
@@ -424,9 +441,42 @@ func TestMul64(t *testing.T) {
 		{1 << 32, 1 << 32, 1, 0},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		for name, mul := range map[string]func(a, b uint64) (uint64, uint64){"portable": portableMul64, "bits": bits.Mul64} {
+			if hi, lo := mul(c.a, c.b); hi != c.hi || lo != c.lo {
+				t.Fatalf("%s(%d,%d) = (%d,%d), want (%d,%d)", name, c.a, c.b, hi, lo, c.hi, c.lo)
+			}
+		}
+	}
+	r := New(5)
+	for i := 0; i < 10000; i++ {
+		a, b := r.Uint64(), r.Uint64()
+		wantHi, wantLo := portableMul64(a, b)
+		if hi, lo := bits.Mul64(a, b); hi != wantHi || lo != wantLo {
+			t.Fatalf("bits.Mul64(%d,%d) = (%d,%d), portable (%d,%d)", a, b, hi, lo, wantHi, wantLo)
+		}
+	}
+}
+
+// TestIntnStreamMatchesPortableReference: Intn draws exactly what
+// Lemire's method over the portable product draws, rejections included,
+// so every seeded stream built on Intn is unchanged.
+func TestIntnStreamMatchesPortableReference(t *testing.T) {
+	got, ref := New(77), New(77)
+	for i := 0; i < 20000; i++ {
+		n := 1 + i%97
+		if i%5 == 0 {
+			n = 1<<62 + i // large bounds reach the rejection loop
+		}
+		bound := uint64(n)
+		hi, lo := portableMul64(ref.Uint64(), bound)
+		if lo < bound {
+			threshold := (-bound) % bound
+			for lo < threshold {
+				hi, lo = portableMul64(ref.Uint64(), bound)
+			}
+		}
+		if v := got.Intn(n); v != int(hi) {
+			t.Fatalf("draw %d: Intn(%d) = %d, reference %d", i, n, v, hi)
 		}
 	}
 }

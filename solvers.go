@@ -87,8 +87,9 @@ type IterationTrace struct {
 	Draws, Pruned, Rescored int
 	// RejectTries and FallbackDraws are GenPerm sampler counters: masked
 	// rejection-sampling misses and draws resolved through the compact
-	// fallback. SkippedEdges counts TIG edges the gamma-pruned scorer
-	// never accumulated.
+	// fallback. SkippedEdges counts the incident-list entries (two per TIG
+	// edge, one at each endpoint) the gamma-pruned scorer never visited
+	// because it stopped at the first task whose load exceeded gamma.
 	RejectTries, FallbackDraws, SkippedEdges uint64
 	// SampleNs, SelectNs and UpdateNs are the iteration's phase timings:
 	// the sample/score barrier, elite selection, and the distribution
