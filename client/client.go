@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -145,6 +146,16 @@ func (c *Client) Info(ctx context.Context, id string) (api.JobInfo, error) {
 	return info, err
 }
 
+// WaitInfo long-polls a job's status: the daemon answers as soon as the
+// job is no longer in state, or after wait (which it caps) with the job
+// still there. A terminal job answers at once.
+func (c *Client) WaitInfo(ctx context.Context, id, state string, wait time.Duration) (api.JobInfo, error) {
+	q := url.Values{"state": {state}, "wait": {wait.String()}}
+	var info api.JobInfo
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"?"+q.Encode(), nil, &info)
+	return info, err
+}
+
 // Result fetches a finished job's result. Unfinished jobs yield an
 // *api.Error with Status 409.
 func (c *Client) Result(ctx context.Context, id string) (api.JobResult, error) {
@@ -160,28 +171,24 @@ func (c *Client) Cancel(ctx context.Context, id string) (api.JobInfo, error) {
 	return info, err
 }
 
-// Wait polls a job until it reaches a terminal state, ctx expires, or a
-// request fails. interval <= 0 defaults to 100ms.
+// Wait follows a job until it reaches a terminal state, ctx expires, or a
+// request fails. Each status call long-polls for up to interval (<= 0
+// defaults to 100ms), so Wait returns as soon as the job finishes.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (api.JobInfo, error) {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		info, err := c.Info(ctx, id)
-		if err != nil {
-			return info, err
-		}
-		if api.TerminalState(info.State) {
-			return info, nil
-		}
-		select {
-		case <-ctx.Done():
-			return info, ctx.Err()
-		case <-ticker.C:
+	info, err := c.Info(ctx, id)
+	for err == nil && !api.TerminalState(info.State) {
+		var next api.JobInfo
+		if next, err = c.WaitInfo(ctx, id, info.State, interval); err == nil {
+			info = next
 		}
 	}
+	if err != nil && ctx.Err() != nil {
+		err = ctx.Err()
+	}
+	return info, err
 }
 
 // Events subscribes to a job's SSE progress stream and invokes fn for

@@ -118,7 +118,7 @@ func run(args []string, stdout io.Writer) error {
 		checkpointDir = fs.String("checkpoint-dir", "", "directory for shutdown checkpoints (empty disables persistence)")
 		coordinator   = fs.Bool("coordinator", false, "run as a cluster coordinator routing jobs to the -workers nodes instead of solving locally")
 		clusterState  = fs.String("cluster-state", "", "coordinator journal directory for in-flight solves (empty disables restart re-attachment)")
-		pollInterval  = fs.Duration("poll-interval", 200*time.Millisecond, "coordinator worker job-status poll cadence")
+		pollInterval  = fs.Duration("poll-interval", 200*time.Millisecond, "longest a coordinator worker job-status call waits for a state change, and the checkpoint refresh cadence of running solves")
 		ckptEvery     = fs.Int("checkpoint-every", 5, "coordinator-injected checkpoint export cadence (CE iterations) for handoff")
 		traceFile     = fs.String("trace", "", "append every job's trace events to this JSONL file")
 		spanFile      = fs.String("trace-spans", "", "append every finished span to this JSONL file")
@@ -289,11 +289,16 @@ func run(args []string, stdout io.Writer) error {
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := server.Shutdown(drainCtx); err != nil {
-		logger.Warn("http shutdown", "error", err)
-	}
+	// Close the listener and drain the backend together: the backend's
+	// Shutdown wakes parked status long-polls, which server.Shutdown
+	// would otherwise wait out.
+	httpDone := make(chan error, 1)
+	go func() { httpDone <- server.Shutdown(drainCtx) }()
 	if err := backend.Shutdown(drainCtx); err != nil {
 		return err
+	}
+	if err := <-httpDone; err != nil {
+		logger.Warn("http shutdown", "error", err)
 	}
 	if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
 		return serveErr

@@ -46,7 +46,10 @@ type Options struct {
 	// routed plain match jobs so a dead worker's solves can be handed off
 	// mid-run; default 5. A submission's own CheckpointEvery wins.
 	CheckpointEvery int
-	// PollInterval is the worker job-status poll cadence; default 200ms.
+	// PollInterval is the longest one worker job-status call waits for
+	// the job's state to change (capped at CallTimeout/2), and so the
+	// cadence of checkpoint refreshes while it runs; default 200ms. A
+	// state change reaches the coordinator as soon as it happens.
 	PollInterval time.Duration
 	// HealthEvery is the down-worker recovery probe cadence; default 1s.
 	HealthEvery time.Duration
@@ -183,6 +186,7 @@ type cjob struct {
 	solver string
 
 	state    string
+	changed  chan struct{} // closed and replaced by setStateLocked: wakes WaitInfo
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -444,6 +448,7 @@ func (co *Coordinator) startJobSpanLocked(ctx context.Context, j *cjob, problem 
 
 // registerLocked files the job in the store. Caller holds mu.
 func (co *Coordinator) registerLocked(j *cjob) {
+	j.changed = make(chan struct{})
 	co.jobs[j.id] = j
 	co.stateCount[j.state]++
 	co.metrics.jobsByState.With(j.state).Add(1)
@@ -454,6 +459,8 @@ func (co *Coordinator) setStateLocked(j *cjob, state string) {
 	co.stateCount[j.state]--
 	co.metrics.jobsByState.With(j.state).Add(-1)
 	j.state = state
+	close(j.changed)
+	j.changed = make(chan struct{})
 	co.stateCount[state]++
 	co.metrics.jobsByState.With(state).Add(1)
 }
@@ -516,6 +523,25 @@ func (co *Coordinator) Info(id string) (api.JobInfo, error) {
 		return api.JobInfo{}, jobs.ErrUnknownJob
 	}
 	return co.infoLocked(j), nil
+}
+
+// WaitInfo is Info as a long-poll: while the job is still in state it
+// blocks until the state changes, wait expires, ctx ends or Shutdown
+// begins, then returns the job's status document. A terminal job answers
+// at once.
+func (co *Coordinator) WaitInfo(ctx context.Context, id, state string, wait time.Duration) (api.JobInfo, error) {
+	return jobs.AwaitChange(ctx, wait, co.baseCtx.Done(), func() (api.JobInfo, <-chan struct{}, error) {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		j := co.jobs[id]
+		if j == nil {
+			return api.JobInfo{}, nil, jobs.ErrUnknownJob
+		}
+		if j.state != state || api.TerminalState(j.state) {
+			return co.infoLocked(j), nil, nil
+		}
+		return co.infoLocked(j), j.changed, nil
+	})
 }
 
 // Result returns a finished job's result.
@@ -699,9 +725,10 @@ func (co *Coordinator) Readiness() (bool, []api.ReadyCheck) {
 	return ready, checks
 }
 
-// Shutdown stops the coordinator: submissions are refused, flight
-// watchers stop (their journals stay on disk so a restarted coordinator
-// re-attaches via Restore), and open job spans are closed.
+// Shutdown stops the coordinator: submissions are refused, pending
+// WaitInfo calls return, flight watchers stop (their journals stay on
+// disk so a restarted coordinator re-attaches via Restore), and open job
+// spans are closed.
 func (co *Coordinator) Shutdown(ctx context.Context) error {
 	co.mu.Lock()
 	if co.closed {
@@ -710,7 +737,7 @@ func (co *Coordinator) Shutdown(ctx context.Context) error {
 	}
 	co.closed = true
 	co.mu.Unlock()
-	co.baseCancel()
+	co.baseCancel() // stops the flight watchers and wakes WaitInfo callers
 
 	done := make(chan struct{})
 	go func() {
@@ -909,7 +936,11 @@ func (co *Coordinator) beginRescue(f *flight, reason string) {
 }
 
 // pollFlight tracks an assigned flight on its worker until a terminal
-// outcome or a condition that forces a re-route.
+// outcome or a condition that forces a re-route. Each status call
+// long-polls: the worker answers as soon as the job leaves the state last
+// seen, so completion reaches the coordinator when it happens. A wait
+// that runs out on a running solve refreshes its checkpoint, which keeps
+// the export cadence at PollInterval.
 func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 	worker := co.flightWorker(f)
 	cl := co.clients[worker]
@@ -918,17 +949,17 @@ func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 		// is no longer on the ring.
 		return flightRescue, "worker-removed"
 	}
+	wait := min(co.opts.PollInterval, co.opts.CallTimeout/2)
+	seen := api.StateQueued // every assignment starts queued on its worker
 	for {
 		if co.flightAbandoned(f) {
 			co.discardFlight(f)
 			return flightDiscarded, ""
 		}
 		co.maybeWriteJournal(f)
-		if !sleepCtx(co.baseCtx, co.opts.PollInterval) {
-			return flightShutdown, ""
-		}
+		start := time.Now()
 		ctx, cancel := co.callCtx()
-		info, err := cl.Info(ctx, co.flightJobID(f))
+		info, err := cl.WaitInfo(ctx, co.flightJobID(f), seen, wait)
 		cancel()
 		if err != nil {
 			if co.baseCtx.Err() != nil {
@@ -942,26 +973,46 @@ func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 					// freshest checkpoint when one was exported).
 					return flightRescue, "worker-restart"
 				}
-				continue // other HTTP errors: transient, keep polling
+				// Other HTTP errors are transient: keep polling.
+			} else {
+				co.noteFailure(worker)
+				if co.workerDown(worker) {
+					return flightRescue, "worker-down"
+				}
 			}
-			co.noteFailure(worker)
-			if co.workerDown(worker) {
-				return flightRescue, "worker-down"
+			if !sleepCtx(co.baseCtx, co.opts.PollInterval) {
+				return flightShutdown, ""
 			}
 			continue
 		}
 		co.noteSuccess(worker)
+		if info.State == seen {
+			// Nothing new within the wait. A worker that answers early
+			// (one shutting down) is paced to the wait.
+			if !sleepCtx(co.baseCtx, wait-time.Since(start)) {
+				return flightShutdown, ""
+			}
+			if seen == api.StateRunning {
+				co.refreshCheckpoint(cl, f)
+			}
+			continue
+		}
 		switch info.State {
+		case api.StateQueued:
+			// Re-queued under its id by a worker that restarted and
+			// restored it from its own checkpoint directory.
+			seen = api.StateQueued
 		case api.StateRunning:
+			seen = api.StateRunning
 			co.observeRunning(f)
-			co.refreshCheckpoint(cl, f)
 		case api.StateDone:
 			res, rerr := co.fetchResult(cl, f)
 			if rerr != nil {
-				if co.baseCtx.Err() != nil {
+				// Transient; the next pass re-observes done.
+				if !sleepCtx(co.baseCtx, co.opts.PollInterval) {
 					return flightShutdown, ""
 				}
-				continue // transient; the next pass re-observes done
+				continue
 			}
 			co.completeFlight(f, info, res)
 			return flightDone, ""

@@ -194,6 +194,35 @@ func TestCoordinatorDeterminism(t *testing.T) {
 	}
 }
 
+// TestCoordinatorLongPollCompletion: the coordinator hears of a routed
+// solve's completion when it happens, not on its next status poll. With
+// a 10 s PollInterval, a small job must be done at the coordinator
+// within a second of submission.
+func TestCoordinatorLongPollCompletion(t *testing.T) {
+	ws := startWorkers(t, 1)
+	co := newTestCoordinator(t, ws, Options{PollInterval: 10 * time.Second})
+	info, err := co.Submit(api.SubmitRequest{
+		Instance: instanceJSON(t, 4, 10), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 7, Workers: 1},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for info.State != api.StateDone {
+		if api.TerminalState(info.State) {
+			t.Fatalf("job ended %q (error %q), want done", info.State, info.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %q 1s after submission; the coordinator is waiting out PollInterval", info.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if info, err = co.Info(info.ID); err != nil {
+			t.Fatalf("Info: %v", err)
+		}
+	}
+}
+
 // TestCoordinatorSingleflight: N identical concurrent submissions
 // collapse onto one worker solve — asserted on the workers' own solver
 // counters, not just coordinator bookkeeping — and every submitter gets

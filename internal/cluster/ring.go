@@ -5,7 +5,9 @@
 // before they reach a worker, serves a coordinator-level LRU result
 // cache backed by the workers' own caches, and hands off mid-solve
 // checkpoints so a draining or dead worker's jobs resume on a surviving
-// node with their trace intact.
+// node with their trace intact. Each routed solve is followed with the
+// worker's status long-poll, so its completion reaches the coordinator
+// as it happens rather than on a timer.
 //
 // The coordinator is served by package httpapi, the same HTTP front door
 // as a standalone matchd, so clients point at either interchangeably;

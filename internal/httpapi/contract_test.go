@@ -109,6 +109,32 @@ func smallJob(t *testing.T, seed uint64) api.SubmitRequest {
 	}
 }
 
+// longJob is a submission that runs until cancelled.
+func longJob(t *testing.T, seed uint64) api.SubmitRequest {
+	return api.SubmitRequest{
+		Instance: instanceJSON(t, 8, 28), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: seed, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000},
+	}
+}
+
+// waitResult is the outcome of a long-poll run off the test goroutine.
+type waitResult struct {
+	info api.JobInfo
+	err  error
+	took time.Duration
+}
+
+// goWaitInfo starts a status long-poll on its own goroutine.
+func goWaitInfo(f *contractBackend, id, state string, wait time.Duration) <-chan waitResult {
+	ch := make(chan waitResult, 1)
+	go func() {
+		start := time.Now()
+		info, err := f.c.WaitInfo(context.Background(), id, state, wait)
+		ch <- waitResult{info, err, time.Since(start)}
+	}()
+	return ch
+}
+
 // waitJobDone polls a job to a terminal state and requires it done.
 func waitJobDone(t *testing.T, f *contractBackend, id string) {
 	t.Helper()
@@ -197,12 +223,8 @@ func TestBackendContract(t *testing.T) {
 			}
 		}},
 		{"unfinished_result_409", func(t *testing.T, f *contractBackend) {
-			long := api.SubmitRequest{
-				Instance: instanceJSON(t, 8, 28), Solver: api.SolverMaTCH,
-				Options: api.SolverOptions{Seed: 1, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000},
-			}
 			ctx := context.Background()
-			info, err := f.c.Submit(ctx, long)
+			info, err := f.c.Submit(ctx, longJob(t, 1))
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
@@ -211,6 +233,104 @@ func TestBackendContract(t *testing.T) {
 			}
 			if _, err := f.c.Cancel(ctx, info.ID); err != nil {
 				t.Fatalf("Cancel: %v", err)
+			}
+		}},
+		{"long_poll", func(t *testing.T, f *contractBackend) {
+			ctx := context.Background()
+			info, err := f.c.Submit(ctx, longJob(t, 1))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			// A state change answers the wait.
+			got, err := f.c.WaitInfo(ctx, info.ID, api.StateQueued, 10*time.Second)
+			if err != nil || got.State != api.StateRunning {
+				t.Fatalf("wait on queued: %+v, %v; want running", got, err)
+			}
+			// A wait with nothing new runs out and answers the same state.
+			start := time.Now()
+			got, err = f.c.WaitInfo(ctx, info.ID, api.StateRunning, 50*time.Millisecond)
+			if took := time.Since(start); err != nil || got.State != api.StateRunning || took < 50*time.Millisecond {
+				t.Fatalf("expiring wait: %+v, %v after %v; want running after >= 50ms", got, err, took)
+			}
+			parked := goWaitInfo(f, info.ID, api.StateRunning, 10*time.Second)
+			time.Sleep(20 * time.Millisecond)
+			if _, err := f.c.Cancel(ctx, info.ID); err != nil {
+				t.Fatalf("Cancel: %v", err)
+			}
+			if r := <-parked; r.err != nil || r.info.State != api.StateCancelled || r.took > 5*time.Second {
+				t.Fatalf("wait across cancel: %+v, %v after %v; want cancelled at once", r.info, r.err, r.took)
+			}
+			// A terminal job answers at once, even when asked to wait in
+			// its own state.
+			start = time.Now()
+			got, err = f.c.WaitInfo(ctx, info.ID, api.StateCancelled, 10*time.Second)
+			if took := time.Since(start); err != nil || got.State != api.StateCancelled || took > time.Second {
+				t.Fatalf("wait on terminal job: %+v, %v after %v; want cancelled at once", got, err, took)
+			}
+			for _, q := range []string{
+				"state=running&wait=soon", // not a duration
+				"state=running&wait=-1s",  // negative
+				"state=paused&wait=1s",    // unknown state
+				"wait=1s",                 // no state to wait on
+			} {
+				code, hdr, body := call(t, "GET", f.base+"/v1/jobs/"+info.ID+"?"+q, "")
+				var e api.Error
+				if err := json.Unmarshal(body, &e); err != nil || code != http.StatusBadRequest ||
+					e.Message == "" || !strings.HasPrefix(hdr.Get("Content-Type"), "application/json") {
+					t.Errorf("?%s: %d %s, want 400 api.Error", q, code, body)
+				}
+			}
+			start = time.Now()
+			code, _, body := call(t, "GET", f.base+"/v1/jobs/jmissing?state=queued&wait=10s", "")
+			if took := time.Since(start); code != http.StatusNotFound || took > time.Second {
+				t.Errorf("unknown id: %d %s after %v, want an immediate 404", code, body, took)
+			}
+			// Long-polls keep out of the plain status route's series. The
+			// middleware records a request just after answering it, so
+			// the scrape retries briefly.
+			if _, err := f.c.Info(ctx, info.ID); err != nil {
+				t.Fatalf("Info: %v", err)
+			}
+			want := []string{
+				`matchd_http_request_seconds_count{route="GET /v1/jobs/{id}"} 1` + "\n",
+				`matchd_http_request_seconds_count{route="GET /v1/jobs/{id}?wait"} 9` + "\n",
+			}
+			for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+				_, _, body = call(t, "GET", f.base+"/metrics", "")
+				if strings.Contains(string(body), want[0]) && strings.Contains(string(body), want[1]) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("metrics lack %q:\n%s", want, body)
+				}
+			}
+		}},
+		{"shutdown_wakes_long_poll", func(t *testing.T, f *contractBackend) {
+			// One job runs and one queues behind it on the single solver.
+			ctx := context.Background()
+			run, err := f.c.Submit(ctx, longJob(t, 1))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if got, err := f.c.WaitInfo(ctx, run.ID, api.StateQueued, 10*time.Second); err != nil || got.State != api.StateRunning {
+				t.Fatalf("wait on queued: %+v, %v; want running", got, err)
+			}
+			queued, err := f.c.Submit(ctx, longJob(t, 2))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			waits := []<-chan waitResult{
+				goWaitInfo(f, run.ID, api.StateRunning, 10*time.Second),
+				goWaitInfo(f, queued.ID, api.StateQueued, 10*time.Second),
+			}
+			time.Sleep(50 * time.Millisecond)
+			start := time.Now()
+			go f.backend.Shutdown(context.Background())
+			for i, ch := range waits {
+				r := <-ch
+				if took := time.Since(start); r.err != nil || took > 2*time.Second {
+					t.Errorf("wait %d: %+v, %v, back %v after Shutdown began; want it woken promptly", i, r.info, r.err, took)
+				}
 			}
 		}},
 		{"malformed_body_400", func(t *testing.T, f *contractBackend) {

@@ -5,6 +5,7 @@
 //	POST   /v1/jobs             submit a job            → 202 JobInfo (200 on cache hit)
 //	POST   /v1/jobs:batch       submit many jobs        → 200 BatchSubmitResponse (per-item statuses)
 //	GET    /v1/jobs/{id}        job status              → 200 JobInfo
+//	GET    /v1/jobs/{id}?state=S&wait=D  status once the job leaves S, or after D → 200 JobInfo
 //	GET    /v1/jobs/{id}/result finished job's mapping  → 200 JobResult
 //	GET    /v1/jobs/{id}/checkpoint latest resumable checkpoint → 200 CheckpointDoc
 //	DELETE /v1/jobs/{id}        cancel a job            → 200 JobInfo
@@ -24,6 +25,14 @@
 // jobs.Manager adds /checkpoint, /events and /v1/islands; a
 // cluster.Coordinator adds /v1/cluster and /v1/cluster/drain. A route a
 // backend does not mount is a 404.
+//
+// The ?state=&wait= form of the status route is a long-poll: while the
+// job is still in state S it holds the request for up to the Go duration
+// D (capped at maxStatusWait), answering as soon as the state changes; a
+// terminal job answers at once. A wait that does not parse, is negative,
+// or names no known state is a 400. Long-polls are recorded under their
+// own route label, "GET /v1/jobs/{id}?wait", so the status route's
+// latency series measures plain status calls only.
 //
 // Every non-2xx response body is an api.Error document. The SSE stream
 // replays the job's event history, then follows it live (an optional
@@ -74,6 +83,10 @@ import (
 type Backend interface {
 	SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error)
 	Info(id string) (api.JobInfo, error)
+	// WaitInfo is Info as a long-poll: it returns once the job is no
+	// longer in state (at once for a terminal job), when wait expires,
+	// when ctx ends, or when the backend shuts down.
+	WaitInfo(ctx context.Context, id, state string, wait time.Duration) (api.JobInfo, error)
 	Result(id string) (api.JobResult, error)
 	Cancel(id string) (api.JobInfo, error)
 	Readiness() (bool, []api.ReadyCheck)
@@ -144,7 +157,14 @@ const (
 type routeOpts struct {
 	trace     traceMode
 	streaming bool
+	// longPoll records requests carrying ?wait= under the route label
+	// pattern+"?wait": a parked wait would poison the latency series of
+	// the route's plain calls.
+	longPoll bool
 }
+
+// maxStatusWait caps the wait of a status long-poll.
+const maxStatusWait = 30 * time.Second
 
 // New builds the HTTP surface over b, instrumenting b.Registry() and
 // tracing with b.Tracer() (nil tracer = tracing off everywhere).
@@ -166,7 +186,7 @@ func New(b Backend) *Server {
 	}
 	s.handle("POST /v1/jobs", s.submit, routeOpts{trace: traceAlways})
 	s.handle("POST /v1/jobs:batch", s.submitBatch, routeOpts{trace: traceAlways})
-	s.handle("GET /v1/jobs/{id}", s.status, routeOpts{trace: traceOnHeader})
+	s.handle("GET /v1/jobs/{id}", s.status, routeOpts{trace: traceOnHeader, longPoll: true})
 	s.handle("GET /v1/jobs/{id}/result", s.result, routeOpts{trace: traceOnHeader})
 	if c, ok := b.(checkpointer); ok {
 		s.handle("GET /v1/jobs/{id}/checkpoint", checkpoint(c), routeOpts{trace: traceOnHeader})
@@ -201,6 +221,10 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
 	log := s.backend.Logger()
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		route := pattern
+		if opts.longPoll && r.URL.Query().Has("wait") {
+			route += "?wait"
+		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		var rw http.ResponseWriter = rec
 		if f, ok := w.(http.Flusher); ok {
@@ -213,7 +237,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
 			tp := r.Header.Get("traceparent")
 			if opts.trace == traceAlways || tp != "" {
 				var ctx context.Context
-				ctx, span = s.tracer.StartSpanRemote(r.Context(), pattern, tp)
+				ctx, span = s.tracer.StartSpanRemote(r.Context(), route, tp)
 				span.SetAttr("method", r.Method)
 				span.SetAttr("remote", r.RemoteAddr)
 				r = r.WithContext(ctx)
@@ -223,10 +247,10 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
 		h(rw, r)
 
 		elapsed := time.Since(start)
-		s.requests.With(pattern, r.Method, strconv.Itoa(rec.code)).Inc()
+		s.requests.With(route, r.Method, strconv.Itoa(rec.code)).Inc()
 		if rec.code >= 400 {
-			s.errors.With(pattern).Inc()
-			log.Warn("request failed", "route", pattern, "code", rec.code,
+			s.errors.With(route).Inc()
+			log.Warn("request failed", "route", route, "code", rec.code,
 				"duration", elapsed, "remote", r.RemoteAddr)
 		}
 		latency := elapsed
@@ -236,9 +260,9 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
 			if !rec.firstByte.IsZero() {
 				latency = rec.firstByte.Sub(start)
 			}
-			s.streamSeconds.With(pattern).ObserveExemplar(elapsed.Seconds(), span.TraceID())
+			s.streamSeconds.With(route).ObserveExemplar(elapsed.Seconds(), span.TraceID())
 		}
-		s.latency.With(pattern).ObserveExemplar(latency.Seconds(), span.TraceID())
+		s.latency.With(route).ObserveExemplar(latency.Seconds(), span.TraceID())
 		if span != nil {
 			span.SetAttrInt("code", int64(rec.code))
 			if rec.code >= 400 {
@@ -360,8 +384,32 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// status serves a job's status document, long-polling when the request
+// carries ?wait= (see the package documentation).
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	info, err := s.backend.Info(r.PathValue("id"))
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		info, err := s.backend.Info(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, info)
+		return
+	}
+	wait, err := time.ParseDuration(q.Get("wait"))
+	if err != nil || wait < 0 {
+		writeError(w, http.StatusBadRequest, "invalid wait %q: want a non-negative Go duration", q.Get("wait"))
+		return
+	}
+	state := q.Get("state")
+	switch state {
+	case api.StateQueued, api.StateRunning, api.StateDone, api.StateFailed, api.StateCancelled:
+	default:
+		writeError(w, http.StatusBadRequest, "invalid state %q: want the job state last seen", state)
+		return
+	}
+	info, err := s.backend.WaitInfo(r.Context(), r.PathValue("id"), state, min(wait, maxStatusWait))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return

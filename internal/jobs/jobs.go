@@ -117,6 +117,7 @@ type job struct {
 	problem *matchsim.Problem
 
 	state    string
+	changed  chan struct{} // closed and replaced by setState: wakes WaitInfo
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -531,6 +532,7 @@ func ValidSolver(s string) error {
 
 // register files the job in the store. Caller holds mu.
 func (m *Manager) register(j *job) {
+	j.changed = make(chan struct{})
 	m.jobs[j.id] = j
 	m.stateCount[j.state]++
 	m.metrics.jobsByState.With(j.state).Add(1)
@@ -541,6 +543,8 @@ func (m *Manager) setState(j *job, state string) {
 	m.stateCount[j.state]--
 	m.metrics.jobsByState.With(j.state).Add(-1)
 	j.state = state
+	close(j.changed)
+	j.changed = make(chan struct{})
 	m.stateCount[state]++
 	m.metrics.jobsByState.With(state).Add(1)
 }
@@ -570,6 +574,54 @@ func (m *Manager) Info(id string) (api.JobInfo, error) {
 		return api.JobInfo{}, ErrUnknownJob
 	}
 	return m.infoLocked(j), nil
+}
+
+// WaitInfo is Info as a long-poll: while the job is still in state it
+// blocks until the state changes, wait expires, ctx ends or Shutdown
+// begins, then returns the job's status document. A terminal job answers
+// at once.
+func (m *Manager) WaitInfo(ctx context.Context, id, state string, wait time.Duration) (api.JobInfo, error) {
+	return AwaitChange(ctx, wait, m.baseCtx.Done(), func() (api.JobInfo, <-chan struct{}, error) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		j := m.jobs[id]
+		if j == nil {
+			return api.JobInfo{}, nil, ErrUnknownJob
+		}
+		if j.state != state || api.TerminalState(j.state) {
+			return m.infoLocked(j), nil, nil
+		}
+		return m.infoLocked(j), j.changed, nil
+	})
+}
+
+// AwaitChange is the long-poll loop behind both backends' WaitInfo. look
+// reports the job's status and, while the caller should keep waiting, the
+// channel the job's next state change closes (nil: answer now). The
+// current status is returned once look hands back no channel, or when
+// wait expires, ctx ends or stop closes, whichever comes first.
+func AwaitChange(ctx context.Context, wait time.Duration, stop <-chan struct{},
+	look func() (api.JobInfo, <-chan struct{}, error)) (api.JobInfo, error) {
+	info, changed, err := look()
+	if err != nil || changed == nil || wait <= 0 {
+		return info, err
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		select {
+		case <-changed:
+			if info, changed, err = look(); err != nil || changed == nil {
+				return info, err
+			}
+			continue
+		case <-timer.C:
+		case <-ctx.Done():
+		case <-stop:
+		}
+		info, _, err = look()
+		return info, err
+	}
 }
 
 func (m *Manager) infoLocked(j *job) api.JobInfo {
@@ -1026,11 +1078,11 @@ func (m *Manager) Closed() bool {
 	return m.closed
 }
 
-// Shutdown drains the manager: submissions are refused, running jobs are
-// cancelled (each stops within one solver iteration), and—when a
-// checkpoint directory is configured—interrupted and still-queued jobs
-// are persisted so Restore can pick them up after a restart. It returns
-// once every worker has stopped or ctx expires.
+// Shutdown drains the manager: submissions are refused, pending WaitInfo
+// calls return, running jobs are cancelled (each stops within one solver
+// iteration), and—when a checkpoint directory is configured—interrupted
+// and still-queued jobs are persisted so Restore can pick them up after a
+// restart. It returns once every worker has stopped or ctx expires.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {
@@ -1044,7 +1096,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Unlock()
 
 	m.log.Info("shutdown: draining", "running", running, "queued", queued)
-	m.baseCancel() // interrupt running jobs
+	m.baseCancel() // interrupt running jobs and wake WaitInfo callers
 
 	done := make(chan struct{})
 	go func() {
