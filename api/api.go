@@ -29,7 +29,9 @@ const (
 
 // SolverOptions carries every tunable a job may set. Zero values take the
 // solver's documented defaults. Only the fields relevant to the chosen
-// solver are read.
+// solver are read. Unknown fields are ignored, so a client that still
+// sends the retired unpruned_scoring option gets the same job as one that
+// does not.
 type SolverOptions struct {
 	// Seed and Workers together determine a deterministic run: the same
 	// (instance, solver, options) submission produces a bit-identical
@@ -49,12 +51,7 @@ type SolverOptions struct {
 	GammaStallWindow int  `json:"gamma_stall_window,omitempty"`
 	MaxIterations    int  `json:"max_iterations,omitempty"`
 	Polish           bool `json:"polish,omitempty"`
-	// Deprecated: UnprunedScoring is accepted for wire compatibility and
-	// ignored. Gamma pruning never changes a result, so the solver always
-	// prunes, and the content address treats submissions that differ only
-	// in this field as the same job.
-	UnprunedScoring bool `json:"unpruned_scoring,omitempty"`
-	NumAgents       int  `json:"num_agents,omitempty"` // distributed only
+	NumAgents        int  `json:"num_agents,omitempty"` // distributed only
 
 	// Multilevel routes a match job through the coarsen/solve/refine
 	// pipeline (large instances); the remaining fields tune it and the

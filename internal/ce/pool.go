@@ -87,7 +87,8 @@ func newSamplePool[S any](p Problem[S], workers int, seed uint64, solutions []S,
 // no units left) the WaitGroup still balances, so the barrier is correct
 // under any scheduling.
 func (pl *samplePool[S]) worker(w int) {
-	rng := &xrand.RNG{} // reseeded per unit; zero state never drawn from
+	padded := &paddedRNG{} // reseeded per unit; zero state never drawn from
+	rng := &padded.RNG
 	for range pl.tokens {
 		pl.drainIteration(w, rng)
 		pl.busyNs.Add(time.Since(pl.iterStart).Nanoseconds())
@@ -181,6 +182,16 @@ func (pl *samplePool[S]) firstErr() error {
 		}
 	}
 	return nil
+}
+
+// paddedRNG gives a worker's generator cache lines of its own. The
+// state is written on every random number, and two workers' 32-byte
+// states allocated side by side would share a line and bounce it between
+// cores on every draw.
+type paddedRNG struct {
+	_ [64]byte
+	xrand.RNG
+	_ [64]byte
 }
 
 // close stops the worker goroutines. The pool must be idle (no iteration

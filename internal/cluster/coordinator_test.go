@@ -368,10 +368,10 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
-// TestCoordinatorIgnoresDeprecatedUnprunedScoring: the deprecated
-// unpruned_scoring option cannot change a result, so a submission that
-// differs only in it shares the first one's content address and is
-// answered from the cache — exactly one solve runs across the workers.
+// TestCoordinatorIgnoresDeprecatedUnprunedScoring: the retired
+// unpruned_scoring option is no longer a field, so a submission that
+// still sends it as raw JSON shares the first one's content address and
+// is answered from the cache — exactly one solve runs across the workers.
 func TestCoordinatorIgnoresDeprecatedUnprunedScoring(t *testing.T) {
 	ws := startWorkers(t, 2)
 	co := newTestCoordinator(t, ws, Options{})
@@ -393,8 +393,13 @@ func TestCoordinatorIgnoresDeprecatedUnprunedScoring(t *testing.T) {
 		t.Fatalf("Result: %v", err)
 	}
 
-	req.Options.UnprunedScoring = true
-	second, err := co.Submit(req)
+	var legacy api.SubmitRequest
+	body := `{"instance":` + string(req.Instance) + `,"solver":"` + req.Solver +
+		`","options":{"seed":4,"workers":2,"unpruned_scoring":true}}`
+	if err := json.Unmarshal([]byte(body), &legacy); err != nil {
+		t.Fatalf("decode request with unpruned_scoring: %v", err)
+	}
+	second, err := co.Submit(legacy)
 	if err != nil {
 		t.Fatalf("Submit with unpruned_scoring: %v", err)
 	}

@@ -33,6 +33,9 @@ import "math"
 // entries (two per TIG edge, one at each endpoint) the task-by-task path
 // never visited because it exited early.
 type StreamScorer struct {
+	// The padding keeps the fields each draw writes off the cache lines
+	// of other workers' scorers.
+	_    [64]byte
 	eval *Evaluator
 
 	// loads holds one accumulated load per resource (sweep path).
@@ -50,6 +53,7 @@ type StreamScorer struct {
 	// aggregates into a work-avoided counter.
 	skippedEdges int
 	pruned       bool
+	_            [64]byte
 }
 
 // PrunedScore is the pinned score ScoreMapping reports for a draw whose

@@ -233,10 +233,10 @@ func ContractPlatform(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
 			link[b*cN+a] = mean
 		}
 	}
-	out, err := NewResourceGraphDense(costs, link)
-	if err != nil {
+	if err := checkDense(costs, link); err != nil {
 		return nil, err
 	}
+	out := ownDense(costs, link)
 	out.Name = r.Name
 	return out, nil
 }

@@ -39,6 +39,10 @@ type Undirected struct {
 	offsets []int
 	adj     []Neighbor
 	dirty   bool
+	// incident[v] lists v's neighbours in insertion order. AddEdge keeps
+	// it current, so its duplicate check costs O(min degree); nil until
+	// the first check that needs it.
+	incident [][]int32
 }
 
 // NewUndirected returns an empty graph on n vertices.
@@ -71,6 +75,10 @@ func (g *Undirected) AddEdge(u, v int, weight float64) error {
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
+	if g.incident != nil {
+		g.incident[u] = append(g.incident[u], int32(v))
+		g.incident[v] = append(g.incident[v], int32(u))
+	}
 	if u > v {
 		u, v = v, u
 	}
@@ -87,7 +95,9 @@ func (g *Undirected) MustAddEdge(u, v int, weight float64) {
 	}
 }
 
-// HasEdge reports whether the undirected edge (u, v) exists.
+// HasEdge reports whether the undirected edge (u, v) exists. While edges
+// are being added it may build the incident index, so like Neighbors it
+// is not safe to call concurrently on a graph still under construction.
 func (g *Undirected) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
@@ -100,8 +110,18 @@ func (g *Undirected) HasEdge(u, v int) bool {
 		}
 		return false
 	}
-	for _, e := range g.edges {
-		if (e.U == u && e.V == v) || (e.U == v && e.V == u) {
+	if g.incident == nil {
+		g.incident = make([][]int32, g.n)
+		for _, e := range g.edges {
+			g.incident[e.U] = append(g.incident[e.U], int32(e.V))
+			g.incident[e.V] = append(g.incident[e.V], int32(e.U))
+		}
+	}
+	if len(g.incident[v]) < len(g.incident[u]) {
+		u, v = v, u
+	}
+	for _, w := range g.incident[u] {
+		if int(w) == v {
 			return true
 		}
 	}

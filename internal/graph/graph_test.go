@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,55 @@ func TestAddEdgeRejections(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	if err := g.AddEdge(1, 0, 2); err == nil {
 		t.Fatal("duplicate (reversed) edge accepted")
+	}
+}
+
+// TestAddEdgeRejectsDuplicates: a repeated edge is refused in either
+// orientation, with the same error, whether or not the adjacency was
+// built between the two adds, and also on a clone.
+func TestAddEdgeRejectsDuplicates(t *testing.T) {
+	for _, between := range []string{"none", "neighbors", "neighbors+add", "clone"} {
+		for _, dup := range [][2]int{{0, 1}, {1, 0}, {2, 1}, {1, 2}} {
+			g := NewUndirected(5)
+			g.MustAddEdge(0, 1, 1)
+			g.MustAddEdge(2, 1, 1)
+			switch between {
+			case "neighbors":
+				g.Neighbors(1)
+			case "neighbors+add":
+				g.Neighbors(0)
+				g.MustAddEdge(3, 4, 1)
+			case "clone":
+				g = g.Clone()
+			}
+			err := g.AddEdge(dup[0], dup[1], 2)
+			want := fmt.Sprintf("graph: duplicate edge (%d,%d)", dup[0], dup[1])
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s: AddEdge%v = %v, want %q", between, dup, err, want)
+			}
+			if g.HasEdge(0, 2) || !g.HasEdge(dup[1], dup[0]) {
+				t.Fatalf("%s: HasEdge wrong after rejected duplicate", between)
+			}
+		}
+	}
+}
+
+// BenchmarkAddEdge builds graphs of mean degree 8 at growing sizes. Its
+// ns/edge stays flat as the edge count grows: the duplicate check of each
+// add costs O(min degree), not a scan of the edge list.
+func BenchmarkAddEdge(b *testing.B) {
+	for _, m := range []int{1 << 10, 1 << 13, 1 << 16} {
+		n := m / 4
+		b.Run(fmt.Sprintf("edges=%d", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g := NewUndirected(n)
+				for k := 0; k < m; k++ {
+					u := k % n
+					g.MustAddEdge(u, (u+1+k/n)%n, 1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/edge")
+		})
 	}
 }
 

@@ -49,26 +49,14 @@ func (t *TIG) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for TIG and validates the
-// decoded instance.
+// decoded instance. It runs the decoder of decode.go.
 func (t *TIG) UnmarshalJSON(data []byte) error {
 	var in tigJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	if err := whole(data, func(d *decoder) error { return d.tig(&in) }); err != nil {
 		return err
 	}
-	if in.Kind != "" && in.Kind != "tig" {
-		return fmt.Errorf("graph: expected kind \"tig\", got %q", in.Kind)
-	}
-	if len(in.Weights) != in.N {
-		return fmt.Errorf("graph: TIG JSON has %d weights for n=%d", len(in.Weights), in.N)
-	}
-	decoded := NewTIGWithWeights(in.Weights)
-	decoded.Name = in.Name
-	for _, e := range in.Edges {
-		if err := decoded.AddEdge(e.U, e.V, e.Weight); err != nil {
-			return err
-		}
-	}
-	if err := decoded.Validate(); err != nil {
+	decoded, err := in.build()
+	if err != nil {
 		return err
 	}
 	*t = *decoded
@@ -94,41 +82,15 @@ func (r *ResourceGraph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler for ResourceGraph.
+// UnmarshalJSON implements json.Unmarshaler for ResourceGraph and
+// validates the decoded platform. It runs the decoder of decode.go.
 func (r *ResourceGraph) UnmarshalJSON(data []byte) error {
 	var in resourceJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	if err := whole(data, func(d *decoder) error { return d.resource(&in) }); err != nil {
 		return err
 	}
-	if in.Kind != "" && in.Kind != "resource" {
-		return fmt.Errorf("graph: expected kind \"resource\", got %q", in.Kind)
-	}
-	if len(in.Costs) != in.N {
-		return fmt.Errorf("graph: resource JSON has %d costs for n=%d", len(in.Costs), in.N)
-	}
-	var decoded *ResourceGraph
-	if in.DenseLink != nil {
-		var err error
-		decoded, err = NewResourceGraphDense(in.Costs, in.DenseLink)
-		if err != nil {
-			return err
-		}
-		decoded.Name = in.Name
-	} else {
-		decoded = NewResourceGraphWithCosts(in.Costs)
-		decoded.Name = in.Name
-		for _, e := range in.Links {
-			if err := decoded.AddLink(e.U, e.V, e.Weight); err != nil {
-				return err
-			}
-		}
-		if in.Closed {
-			if err := decoded.CloseLinks(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := decoded.Validate(); err != nil {
+	decoded, err := in.build()
+	if err != nil {
 		return err
 	}
 	*r = *decoded
@@ -166,16 +128,32 @@ func WriteInstance(w io.Writer, in *Instance) error {
 	return enc.Encode(in)
 }
 
-// ReadInstance parses and validates an instance from JSON.
+// ReadInstance reads all of rd and decodes the first JSON value in it as
+// an instance, which it validates; whatever follows that value is
+// ignored.
+//
+// It accepts exactly the documents that encoding/json's Decoder.Decode
+// accepted into the wire structs of this file, and decodes them to
+// bit-identical graphs: the same constructors and validations run, with
+// the same error conditions (decode.go lists the JSON rules it keeps).
+// It reads the bytes in a single pass with no reflection, and a dense
+// link matrix becomes the platform's link storage without a copy.
 func ReadInstance(rd io.Reader) (*Instance, error) {
-	var in Instance
-	if err := json.NewDecoder(rd).Decode(&in); err != nil {
+	data, err := io.ReadAll(rd)
+	if err != nil {
 		return nil, err
 	}
-	if err := in.Validate(); err != nil {
+	d := &decoder{data: data}
+	in, err := d.instance()
+	if err != nil {
 		return nil, err
 	}
-	return &in, nil
+	// The decoder built and validated both graphs; only their presence
+	// is left to check.
+	if in.TIG == nil || in.Platform == nil {
+		return nil, fmt.Errorf("graph: instance missing TIG or platform")
+	}
+	return in, nil
 }
 
 // DOT renders the graph in Graphviz DOT syntax. Vertex labels carry the

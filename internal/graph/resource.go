@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ResourceGraph models the heterogeneous platform of Section 2: resource
@@ -63,30 +64,50 @@ func NewResourceGraphWithCosts(costs []float64) *ResourceGraph {
 // empty, which the cost model never observes: it reads only the closed
 // link matrix. Both slices are copied.
 func NewResourceGraphDense(costs, link []float64) (*ResourceGraph, error) {
+	if err := checkDense(costs, link); err != nil {
+		return nil, err
+	}
+	return ownDense(slices.Clone(costs), slices.Clone(link)), nil
+}
+
+// checkDense checks the arguments of NewResourceGraphDense. A platform
+// that passes it also passes Validate.
+func checkDense(costs, link []float64) error {
 	n := len(costs)
 	if len(link) != n*n {
-		return nil, fmt.Errorf("graph: dense link matrix has %d entries for %d resources", len(link), n)
+		return fmt.Errorf("graph: dense link matrix has %d entries for %d resources", len(link), n)
 	}
 	for s := 0; s < n; s++ {
 		if costs[s] < 0 || math.IsNaN(costs[s]) || math.IsInf(costs[s], 0) {
-			return nil, fmt.Errorf("graph: resource %d has invalid cost %v", s, costs[s])
+			return fmt.Errorf("graph: resource %d has invalid cost %v", s, costs[s])
 		}
 		if link[s*n+s] != 0 {
-			return nil, fmt.Errorf("graph: link matrix diagonal (%d,%d) = %v, want 0", s, s, link[s*n+s])
+			return fmt.Errorf("graph: link matrix diagonal (%d,%d) = %v, want 0", s, s, link[s*n+s])
 		}
 		for b := s + 1; b < n; b++ {
 			v := link[s*n+b]
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("graph: link (%d,%d) has invalid cost %v", s, b, v)
+				return fmt.Errorf("graph: link (%d,%d) has invalid cost %v", s, b, v)
 			}
 			if link[b*n+s] != v {
-				return nil, fmt.Errorf("graph: link matrix asymmetric at (%d,%d): %v vs %v", s, b, v, link[b*n+s])
+				return fmt.Errorf("graph: link matrix asymmetric at (%d,%d): %v vs %v", s, b, v, link[b*n+s])
 			}
 		}
 	}
-	r := NewResourceGraphWithCosts(costs)
-	copy(r.link, link)
-	return r, nil
+	return nil
+}
+
+// ownDense wraps slices that passed checkDense in a platform, without
+// copying them. Nil slices become empty ones, as NewResourceGraph makes
+// them, so that an empty platform marshals the same either way.
+func ownDense(costs, link []float64) *ResourceGraph {
+	if costs == nil {
+		costs = []float64{}
+	}
+	if link == nil {
+		link = []float64{}
+	}
+	return &ResourceGraph{Undirected: NewUndirected(len(costs)), Costs: costs, link: link}
 }
 
 // NumResources returns |Vr|.

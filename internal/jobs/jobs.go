@@ -355,10 +355,8 @@ func buildRevision() string {
 // Key computes the content address of a submission: a SHA-256 over the
 // canonical re-marshalled instance (so formatting and field-order noise in
 // the client's JSON does not defeat caching), the solver name and the
-// options document. Options that cannot change the result (the deprecated
-// UnprunedScoring) are zeroed first, so such submissions share one key.
+// options document.
 func Key(p *matchsim.Problem, solver string, opts api.SolverOptions) (string, error) {
-	opts.UnprunedScoring = false
 	var canonical bytes.Buffer
 	if err := p.WriteInstance(&canonical); err != nil {
 		return "", err

@@ -183,9 +183,9 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresDeprecatedUnprunedScoring: the deprecated option is
-// accepted but cannot change a result, so it must not split the content
-// address — and a resubmission differing only in it is a cache hit.
+// TestKeyIgnoresDeprecatedUnprunedScoring: the retired unpruned_scoring
+// option is no longer a field. A client that still sends it as raw JSON
+// gets the same content address, and its resubmission is a cache hit.
 func TestKeyIgnoresDeprecatedUnprunedScoring(t *testing.T) {
 	inst := instanceJSON(t, 2, 8)
 	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
@@ -197,8 +197,13 @@ func TestKeyIgnoresDeprecatedUnprunedScoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.UnprunedScoring = true
-	k2, err := Key(p, api.SolverMaTCH, opts)
+	var legacy api.SubmitRequest
+	body := `{"instance":` + string(inst) + `,"solver":"` + api.SolverMaTCH +
+		`","options":{"seed":3,"workers":1,"unpruned_scoring":true}}`
+	if err := json.Unmarshal([]byte(body), &legacy); err != nil {
+		t.Fatalf("decode request with unpruned_scoring: %v", err)
+	}
+	k2, err := Key(p, legacy.Solver, legacy.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +213,13 @@ func TestKeyIgnoresDeprecatedUnprunedScoring(t *testing.T) {
 
 	m := New(Options{Workers: 1})
 	defer m.Shutdown(context.Background())
-	req := api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: api.SolverOptions{Seed: 3, Workers: 1}}
+	req := api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: opts}
 	first, err := m.Submit(req)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitTerminal(t, m, first.ID, 30*time.Second)
-	req.Options.UnprunedScoring = true
-	second, err := m.Submit(req)
+	second, err := m.Submit(legacy)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}

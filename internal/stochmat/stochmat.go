@@ -506,8 +506,11 @@ func (m *Matrix) EliteUpdateRow(i int, counts []float64, countSup []int32, zeta,
 // Sampler draws permutations (or partial assignments) from a Matrix with
 // per-row masking — the inner operation of GenPerm. One Sampler holds the
 // scratch buffers for one goroutine; create one per worker and reuse it
-// across draws to stay allocation-free in the hot loop.
+// across draws to stay allocation-free in the hot loop. The padding and
+// the rounded-up mask keep the state each draw writes off the cache
+// lines of other workers' Samplers.
 type Sampler struct {
+	_       [64]byte
 	cols    int
 	masked  []bool    // columns already assigned in the current draw
 	scratch []float64 // masked row copy / compact prefix sums
@@ -519,6 +522,7 @@ type Sampler struct {
 	// counters are plain uint64s — a Sampler is single-goroutine scratch —
 	// and drain via TakeStats, so callers can attribute them per draw.
 	stats SampleStats
+	_     [64]byte
 }
 
 // SampleStats counts the sampling work SamplePermutationFast performed:
@@ -547,7 +551,7 @@ func (s *Sampler) TakeStats() SampleStats {
 func NewSampler(cols int) *Sampler {
 	return &Sampler{
 		cols:    cols,
-		masked:  make([]bool, cols),
+		masked:  make([]bool, cols, (cols+63)/64*64),
 		scratch: make([]float64, cols),
 		order:   make([]int, 0, cols),
 		free:    make([]int, cols),

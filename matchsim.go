@@ -176,7 +176,14 @@ func (p *Problem) WriteInstance(w io.Writer) error {
 }
 
 // ReadProblem parses a JSON instance previously written by WriteInstance
-// or produced by the matchgen CLI.
+// or produced by the matchgen CLI. It reads r to the end and decodes the
+// first JSON value; bytes after that value are ignored. The decoder
+// accepts exactly the documents encoding/json accepted for this format,
+// to bit-identical graphs: keys match case-insensitively, the last of a
+// repeated key wins, null leaves a number, string or bool as it was and
+// clears a list or graph, unknown keys are skipped if their values are
+// valid JSON, and n, u, v and seed take integers only (see
+// graph.ReadInstance).
 func ReadProblem(r io.Reader) (*Problem, error) {
 	inst, err := graph.ReadInstance(r)
 	if err != nil {
